@@ -10,9 +10,10 @@
 //! Run with `cargo bench --bench gen_throughput`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gauntlet_core::{Gauntlet, HuntConfig, ParallelCampaign};
+use gauntlet_core::{Gauntlet, GauntletOptions, HuntConfig, ParallelCampaign};
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
 use p4c::Compiler;
+use std::time::{Duration, Instant};
 
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("gen_throughput");
@@ -51,7 +52,8 @@ fn bench_generation(c: &mut Criterion) {
 }
 
 /// The campaign-engine comparison: throughput at increasing `--jobs`, and
-/// incremental vs from-scratch validation.  Printed as a table so the
+/// incremental vs from-scratch validation (the `check_equivalence`
+/// reference path) over the same programs through the pipeline.  Printed as a table so the
 /// reproduction guide can quote it directly.
 fn campaign_scaling(_c: &mut Criterion) {
     const SEEDS: usize = 200;
@@ -92,28 +94,38 @@ fn campaign_scaling(_c: &mut Criterion) {
     }
 
     println!();
-    println!("incremental validation-chain reuse (--jobs 1, same {SEEDS} programs):");
-    let fresh = ParallelCampaign::new(HuntConfig {
+    println!("incremental validation-chain reuse (same {SEEDS} programs, one at a time):");
+    let programs: Vec<_> = (0..SEEDS as u64)
+        .map(|seed| RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate())
+        .collect();
+    let compiler = Compiler::reference();
+    let validate = |gauntlet: &Gauntlet| {
+        let start = Instant::now();
+        let reports: Vec<String> = programs
+            .iter()
+            .flat_map(|program| gauntlet.check_open_compiler(&compiler, program).reports)
+            .map(|report| format!("{report:?}"))
+            .collect();
+        (reports, start.elapsed())
+    };
+    let (fresh_reports, fresh) = validate(&Gauntlet::new(GauntletOptions {
         incremental: false,
-        ..base.clone()
-    })
-    .run(Compiler::reference);
-    let incremental = ParallelCampaign::new(base).run(Compiler::reference);
+        ..GauntletOptions::default()
+    }));
+    let (incremental_reports, incremental) = validate(&Gauntlet::default());
     assert_eq!(
-        fresh.render(),
-        incremental.render(),
+        fresh_reports, incremental_reports,
         "incremental and from-scratch validation must agree"
     );
+    let rate = |elapsed: Duration| SEEDS as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
     println!(
-        "  from-scratch: {:>8.1} programs/s  ({:?})",
-        fresh.throughput(),
-        fresh.elapsed
+        "  from-scratch: {:>8.1} programs/s  ({fresh:?})",
+        rate(fresh)
     );
     println!(
-        "  incremental:  {:>8.1} programs/s  ({:?}, {:.2}x)",
-        incremental.throughput(),
-        incremental.elapsed,
-        incremental.throughput() / fresh.throughput().max(f64::MIN_POSITIVE)
+        "  incremental:  {:>8.1} programs/s  ({incremental:?}, {:.2}x)",
+        rate(incremental),
+        rate(incremental) / rate(fresh)
     );
 }
 

@@ -24,7 +24,7 @@
 //! The headline metric is the **warm-over-cold validate speedup**: the same
 //! 50 compiled pass chains are translation-validated twice through the
 //! campaign worker configuration (a fresh session per program, attached to
-//! a shared `EpochCache`) — first against the *empty* cache (the cold miss
+//! a shared `CampaignCache`) — first against the *empty* cache (the cold miss
 //! path: every snapshot interpreted, every non-trivial query solved) and
 //! then against the now-populated cache (the warm hit path: what any
 //! revalidation inside an epoch experiences — duplicate programs, mutants
@@ -59,7 +59,7 @@
 use gauntlet_core::{hunt_mutation_seed, MetamorphicChecker, MetamorphicOptions};
 use gauntlet_telemetry::ProgressSink;
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
-use p4_symbolic::{EpochCache, SessionStats, ValidationSession};
+use p4_symbolic::{CampaignCache, SessionStats, ValidationSession};
 use p4c::{CompileResult, Compiler};
 use smt::PortfolioOptions;
 use std::sync::Arc;
@@ -299,7 +299,7 @@ fn add_stats(into: &mut SessionStats, stats: SessionStats) {
 /// epoch cache — timing each per-pair equivalence check.
 fn validate_all(
     results: &[CompileResult],
-    cache: &Arc<EpochCache>,
+    cache: &Arc<CampaignCache>,
     portfolio: bool,
     samples: &mut Vec<Duration>,
 ) -> ValidateRun {
@@ -415,9 +415,9 @@ fn measure(seeds: usize, portfolio: bool) -> Trajectory {
     // are deterministic, so they agree across repetitions.
     let mut cold: Option<ValidateRun> = None;
     let mut warm: Option<ValidateRun> = None;
-    let mut cache = Arc::new(EpochCache::new());
+    let mut cache = Arc::new(CampaignCache::new());
     for _ in 0..5 {
-        cache = Arc::new(EpochCache::new());
+        cache = Arc::new(CampaignCache::new());
         let mut cold_samples = Vec::new();
         let mut cold_run = validate_all(&results, &cache, portfolio, &mut cold_samples);
         cold_run.tail = Tail::of(cold_samples);
@@ -447,7 +447,7 @@ fn measure(seeds: usize, portfolio: bool) -> Trajectory {
     // re-run; the campaign-lifetime cache keeps it on the hit path.
     let mut cross_epoch: Option<ValidateRun> = None;
     for _ in 0..5 {
-        let barrier_cache = Arc::new(EpochCache::new());
+        let barrier_cache = Arc::new(CampaignCache::new());
         let mut sink = Vec::new();
         let _ = validate_all(&results, &barrier_cache, portfolio, &mut sink);
         barrier_cache.epoch_barrier();
@@ -490,12 +490,12 @@ fn measure(seeds: usize, portfolio: bool) -> Trajectory {
         let mut uninstrumented = Duration::MAX;
         let mut instrumented = Duration::MAX;
         for _ in 0..5 {
-            let cache = Arc::new(EpochCache::new());
+            let cache = Arc::new(CampaignCache::new());
             let mut sink = Vec::new();
             let run = validate_all(&results, &cache, portfolio, &mut sink);
             uninstrumented = uninstrumented.min(run.stage.elapsed);
 
-            let cache = Arc::new(EpochCache::new());
+            let cache = Arc::new(CampaignCache::new());
             let enclosing = gauntlet_telemetry::install(gauntlet_telemetry::Recorder::new());
             let mut sink = Vec::new();
             let run = validate_all(&results, &cache, portfolio, &mut sink);

@@ -15,16 +15,23 @@
 //! work derives its randomness from its own seed (never from a shared
 //! stream) and results are committed in task order, so the output is
 //! byte-identical regardless of thread count or schedule.
+//!
+//! In the hunt, one private unit does a seed's work: a `SeedWorker`
+//! (built once per worker thread, and once for corpus replay) runs the
+//! open-compiler check, the N-way differential, the metamorphic mutants
+//! and reduction.  One commit rule, `HuntCommit::record`, counts what a
+//! seed contributes — bugs, divergences, mutants, reduction failures — for
+//! hunted seeds and replayed corpus entries alike.
 
 use crate::bugs::{BugDatabase, BugKind, BugReport, CompilerArea, Platform, Technique};
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::inject::SeededBug;
-use crate::pipeline::{Gauntlet, GauntletOptions};
+use crate::pipeline::{Gauntlet, GauntletOptions, MutationOutcome, ProgramOutcome};
 use gauntlet_telemetry::{json, EventLog, Heartbeat, ProgressSink, Recorder, Stage};
 use p4_gen::{GeneratorConfig, RandomProgramGenerator, WeightAdapter};
 use p4_ir::{print_program, ConstructCensus, Program};
 use p4_mutate::{hunt_mutation_seed, MetamorphicChecker, MetamorphicOptions, MutationCoverage};
-use p4_symbolic::{CacheStats, CampaignCache, EpochCache, SessionStats, ValidationSession};
+use p4_symbolic::{CacheStats, CampaignCache, SessionStats, ValidationSession};
 use p4c::coverage::PassCoverage;
 use serde::{Deserialize, Serialize};
 use smt::PortfolioOptions;
@@ -327,9 +334,6 @@ pub struct HuntConfig {
     /// stopping point does not depend on the schedule (workers may *process*
     /// a few extra seeds past it, but never commit them).
     pub bug_quota: Option<usize>,
-    /// Validate pass chains incrementally (see
-    /// [`GauntletOptions::incremental`]).
-    pub incremental: bool,
     /// Delta-debug every committed finding down to a minimal reproducer
     /// (paper §7: all 96 upstream reports were filed as reduced programs).
     /// Reduction runs on the worker that found the bug — sharded across the
@@ -394,7 +398,6 @@ impl Default for HuntConfig {
             seed_count: 100,
             generator: GeneratorConfig::tiny(),
             bug_quota: None,
-            incremental: true,
             reduce_reports: false,
             targets: Vec::new(),
             coverage: None,
@@ -672,8 +675,9 @@ pub struct CacheSummary {
     pub epochs: usize,
     /// Exact pool-wide cache counters, summed across epochs.
     pub stats: CacheStats,
-    /// Per-session counters summed over every worker session (translation
-    /// validation and metamorphic checkers alike).
+    /// Per-session counters summed over every session of the run
+    /// (translation validation and metamorphic checkers alike, corpus
+    /// replay included).
     pub sessions: SessionStats,
     /// Queries that escalated to a portfolio race (0 unless
     /// [`HuntConfig::portfolio`] is set and a hard miter appeared).
@@ -823,22 +827,26 @@ impl HuntReport {
     }
 }
 
-/// Per-worker session counters merged into one pool-wide tally (each worker
-/// adds its totals once, when it finishes an epoch).
+/// Session counters: one [`SeedWorker`]'s, or the pool-wide sum (each
+/// worker adds its totals once, when it finishes an epoch or the replay).
 #[derive(Default, Clone, Copy)]
 struct SessionTally {
     sessions: SessionStats,
     portfolio_races: u64,
 }
 
-fn add_session_stats(into: &mut SessionStats, stats: SessionStats) {
-    into.semantics_hits += stats.semantics_hits;
-    into.semantics_misses += stats.semantics_misses;
-    into.trivial_checks += stats.trivial_checks;
-    into.solver_checks += stats.solver_checks;
-    into.cached_checks += stats.cached_checks;
-    into.verdict_hits += stats.verdict_hits;
-    into.verdict_misses += stats.verdict_misses;
+impl SessionTally {
+    fn add(&mut self, other: SessionTally) {
+        let (into, stats) = (&mut self.sessions, other.sessions);
+        into.semantics_hits += stats.semantics_hits;
+        into.semantics_misses += stats.semantics_misses;
+        into.trivial_checks += stats.trivial_checks;
+        into.solver_checks += stats.solver_checks;
+        into.cached_checks += stats.cached_checks;
+        into.verdict_hits += stats.verdict_hits;
+        into.verdict_misses += stats.verdict_misses;
+        self.portfolio_races += other.portfolio_races;
+    }
 }
 
 /// What one seed contributes to the commit queue.
@@ -980,7 +988,6 @@ struct HuntCommit {
     bugs: usize,
     /// Committed findings lacking `minimized` although reduction was on.
     reduction_failures: usize,
-    stopped: bool,
     /// Coverage accumulation (present iff the hunt is coverage-guided).
     guided: Option<GuidedCommit>,
     /// Mutation accumulation (present iff the hunt mutates).
@@ -991,46 +998,78 @@ struct HuntCommit {
 }
 
 impl HuntCommit {
+    /// Whether the bug quota is met.  Nothing commits past that point, and
+    /// since bugs only grow the stop is final.
+    fn stopped(&self, config: &HuntConfig) -> bool {
+        config.bug_quota.is_some_and(|quota| self.bugs >= quota)
+    }
+
+    /// The commit rule, shared by the ordered drain and corpus replay: the
+    /// only code that counts bugs, metamorphic divergences, mutants and
+    /// reduction failures, and that pushes outcomes.
+    fn record(
+        &mut self,
+        config: &HuntConfig,
+        seed: u64,
+        reports: Vec<BugReport>,
+        mutated: Option<(MutationCoverage, usize)>,
+    ) {
+        if let Some(mutation) = &mut self.mutation {
+            if let Some((coverage, mutants)) = mutated {
+                mutation.coverage.merge(&coverage);
+                mutation.mutants += mutants;
+            }
+            mutation.divergent += reports
+                .iter()
+                .filter(|r| matches!(r.kind, BugKind::Metamorphic))
+                .count();
+        }
+        if reports.is_empty() {
+            return;
+        }
+        self.bugs += reports.len();
+        if config.reduce_reports {
+            // Counted over *committed* reports only, so the tally is
+            // schedule-independent.  Differential findings are exempt (they
+            // are never reduced).
+            self.reduction_failures += reports
+                .iter()
+                .filter(|r| r.platform == Platform::P4c && r.minimized.is_none())
+                .count();
+        }
+        self.committed.push(SeedOutcome { seed, reports });
+    }
+
     /// Drains the contiguous prefix of `pending`, committing results in
-    /// strict seed order (reports, coverage merge, corpus admission, quota
-    /// early stop).  `telemetry` and `epoch_cache` are observation-only:
+    /// strict seed order (coverage merge, corpus admission, [`Self::record`],
+    /// quota early stop).  `telemetry` and `cache` are observation-only:
     /// they emit seed/bug events and the heartbeat but never influence what
     /// commits.
     fn drain(
         &mut self,
         config: &HuntConfig,
         telemetry: Option<&HuntTelemetry>,
-        epoch_cache: Option<&Arc<EpochCache>>,
+        cache: Option<&Arc<CampaignCache>>,
     ) {
-        while !self.stopped {
-            let commit_index = self.next;
-            let Some(result) = self.pending.remove(&commit_index) else {
+        while !self.stopped(config) {
+            let Some(result) = self.pending.remove(&self.next) else {
                 break;
             };
             let committed_seed = config.seed_start + self.next as u64;
             self.next += 1;
             self.programs_checked += 1;
-            if let Some(observation) = result.observed {
-                if let Some(guided) = &mut self.guided {
-                    guided.commit(committed_seed, observation);
-                }
+            if let (Some(guided), Some(observation)) = (&mut self.guided, result.observed) {
+                guided.commit(committed_seed, observation);
             }
-            if let Some((coverage, mutants)) = result.mutated {
-                if let Some(mutation) = &mut self.mutation {
-                    mutation.coverage.merge(&coverage);
-                    mutation.mutants += mutants;
-                }
-            }
-            let reports = result.reports;
             if let Some(telemetry) = telemetry {
                 telemetry.emit(
                     "seed",
                     &[
                         ("seed", committed_seed.to_string()),
-                        ("bugs", reports.len().to_string()),
+                        ("bugs", result.reports.len().to_string()),
                     ],
                 );
-                for report in &reports {
+                for report in &result.reports {
                     telemetry.emit(
                         "bug",
                         &[
@@ -1055,33 +1094,7 @@ impl HuntCommit {
                     );
                 }
             }
-            if !reports.is_empty() {
-                if let Some(mutation) = &mut self.mutation {
-                    mutation.divergent += reports
-                        .iter()
-                        .filter(|r| matches!(r.kind, BugKind::Metamorphic))
-                        .count();
-                }
-                self.bugs += reports.len();
-                if config.reduce_reports {
-                    // Counted over *committed* reports only, so the tally is
-                    // schedule-independent.  Differential findings are
-                    // exempt (they are never reduced).
-                    self.reduction_failures += reports
-                        .iter()
-                        .filter(|r| r.platform == Platform::P4c && r.minimized.is_none())
-                        .count();
-                }
-                self.committed.push(SeedOutcome {
-                    seed: committed_seed,
-                    reports,
-                });
-            }
-            if let Some(quota) = config.bug_quota {
-                if self.bugs >= quota {
-                    self.stopped = true;
-                }
-            }
+            self.record(config, committed_seed, result.reports, result.mutated);
             if let Some(telemetry) = telemetry {
                 if self.programs_checked >= self.next_heartbeat {
                     self.next_heartbeat = self.programs_checked + telemetry.heartbeat_every;
@@ -1092,7 +1105,7 @@ impl HuntCommit {
                         0.0
                     };
                     let remaining = config.seed_count.saturating_sub(self.programs_checked);
-                    let cache_hit_rate = epoch_cache.and_then(|cache| {
+                    let cache_hit_rate = cache.and_then(|cache| {
                         let stats = cache.stats();
                         let lookups = stats.semantics_lookups() + stats.verdict_lookups();
                         (lookups > 0).then(|| {
@@ -1110,6 +1123,259 @@ impl HuntCommit {
                 }
             }
         }
+    }
+}
+
+/// Replays the corpus ahead of generation, sequentially and in corpus order
+/// (part of the determinism contract): every kept program re-fires its
+/// rules, warming the accumulator so the first epoch's weights already
+/// steer toward the genuinely uncovered rules.  Replayed entries are
+/// mutated too — the corpus multiplies into mutant families for free on
+/// every campaign start — and their findings are reduced and committed
+/// through the same [`SeedWorker`] and [`HuntCommit::record`] as hunted
+/// seeds.  They are not translation-validated, not counted as programs
+/// checked, emit no seed events, and commit even past the bug quota.
+/// Returns the replay's session counters.
+fn replay_corpus<F>(
+    config: &HuntConfig,
+    factory: &F,
+    cache: Option<&Arc<CampaignCache>>,
+    commit: &mut HuntCommit,
+) -> SessionTally
+where
+    F: Fn() -> p4c::Compiler,
+{
+    let Some(mut guided) = commit.guided.take() else {
+        return SessionTally::default();
+    };
+    let mut worker = SeedWorker::new(config, factory, cache);
+    let hunted = config.seed_start..config.seed_start + config.seed_count as u64;
+    for entry in &guided.corpus.entries {
+        let program = p4_parser::parse_program(&entry.source)
+            .expect("corpus entries are parse-checked on load");
+        let (compiled, coverage) = p4c::coverage::with_sink(|| worker.compiler.compile(&program));
+        guided.accum.merge(&coverage);
+        guided.census.merge(&ConstructCensus::of(&program));
+        // Entries whose seed the hunt itself will process are skipped — the
+        // worker mutation-checks that seed's program with the same stream
+        // seed, and committing both would duplicate reports (and drain any
+        // bug quota twice).
+        if hunted.contains(&entry.seed) {
+            continue;
+        }
+        let compiled = compiled.ok().map(|result| result.program);
+        if let Some(mut mutation) = worker.mutate(entry.seed, &program, compiled.as_ref()) {
+            worker.reduce(entry.seed, &program, &mut mutation.reports);
+            commit.record(
+                config,
+                entry.seed,
+                mutation.reports,
+                Some((mutation.coverage, mutation.mutants_checked)),
+            );
+        }
+    }
+    commit.guided = Some(guided);
+    worker.into_tally()
+}
+
+/// The per-seed unit of work, built once per worker thread and once for
+/// corpus replay.  It owns everything a seed is checked with — the
+/// pipeline, the compiler under test, the differential targets, the
+/// metamorphic checker — plus the session counters those accumulate.
+struct SeedWorker<'a, F> {
+    config: &'a HuntConfig,
+    factory: &'a F,
+    cache: Option<&'a Arc<CampaignCache>>,
+    gauntlet: Gauntlet,
+    compiler: p4c::Compiler,
+    /// Differential targets, built per worker (they are stateless between
+    /// programs, but not `Sync`).
+    targets: Vec<Box<dyn Target>>,
+    /// Present iff the hunt mutates.  Its validation session is reused
+    /// across every seed the worker claims and attached to the same
+    /// campaign cache as the translation-validation sessions, so the two
+    /// dimensions share interpretations; verdicts are cache-independent,
+    /// so sharing preserves the byte-identical-across-jobs contract.
+    checker: Option<MetamorphicChecker>,
+    tally: SessionTally,
+}
+
+impl<'a, F> SeedWorker<'a, F>
+where
+    F: Fn() -> p4c::Compiler,
+{
+    fn new(
+        config: &'a HuntConfig,
+        factory: &'a F,
+        cache: Option<&'a Arc<CampaignCache>>,
+    ) -> SeedWorker<'a, F> {
+        let registry = TargetRegistry::builtin();
+        let checker = config.mutation.as_ref().map(|_| {
+            let mut checker = match cache {
+                Some(cache) => MetamorphicChecker::with_cache(factory(), Arc::clone(cache)),
+                None => MetamorphicChecker::new(factory()),
+            };
+            if config.portfolio {
+                checker.set_portfolio(PortfolioOptions::default());
+            }
+            checker
+        });
+        SeedWorker {
+            config,
+            factory,
+            cache,
+            gauntlet: Gauntlet::default(),
+            compiler: factory(),
+            targets: config
+                .targets
+                .iter()
+                .map(|spec| registry.build_spec(spec).expect("specs validated above"))
+                .collect(),
+            checker,
+            tally: SessionTally::default(),
+        }
+    }
+
+    /// Compiles and translation-validates `program`, under the pass-coverage
+    /// sink when the hunt is coverage-guided (pass-rule coverage means the
+    /// front/mid-end pipeline, which a replayed corpus entry re-fires
+    /// exactly through `Compiler::compile`).
+    ///
+    /// The validation session is fresh per program but attached to the
+    /// campaign cache when caching is on: the memo layers (semantics,
+    /// verdicts, terms) live in the cache and survive the session, while
+    /// the solver stays small — a long-lived solver accumulates variables
+    /// and learned clauses across unrelated programs and measurably *slows
+    /// down* (see the cold run of the `trajectory` bench).
+    fn check_open(&mut self, program: &Program) -> (ProgramOutcome, Option<PassCoverage>) {
+        let mut session = match self.cache {
+            Some(cache) => ValidationSession::with_cache(Arc::clone(cache)),
+            None => ValidationSession::new(),
+        };
+        if self.config.portfolio {
+            session.set_portfolio(PortfolioOptions::default());
+        }
+        let mut session = Some(session);
+        let mut check = || {
+            self.gauntlet
+                .check_open_compiler_in(&mut session, &self.compiler, program)
+        };
+        let (outcome, coverage) = if self.config.coverage.is_some() {
+            let (outcome, coverage) = p4c::coverage::with_sink(check);
+            (outcome, Some(coverage))
+        } else {
+            (check(), None)
+        };
+        let session = session.expect("the pipeline keeps the session");
+        self.tally.add(SessionTally {
+            sessions: session.stats(),
+            portfolio_races: session.portfolio_races(),
+        });
+        (outcome, coverage)
+    }
+
+    /// Checks `program`'s mutant family (`None` unless the hunt mutates).
+    /// `compiled` is the seed's compiled form when the caller already has
+    /// one (identically configured compiler, deterministic pipeline ⇒
+    /// identical form); without it the checker compiles the seed itself,
+    /// and skips the family if that fails.
+    fn mutate(
+        &mut self,
+        seed: u64,
+        program: &Program,
+        compiled: Option<&Program>,
+    ) -> Option<MutationOutcome> {
+        let options = self.config.mutation.as_ref()?;
+        let checker = self.checker.as_mut()?;
+        let stream = hunt_mutation_seed(seed);
+        Some(match compiled {
+            Some(seed_final) => self
+                .gauntlet
+                .check_mutants_against(checker, seed_final, program, options, stream),
+            None => self
+                .gauntlet
+                .check_mutants(checker, program, options, stream),
+        })
+    }
+
+    /// Delta-debugs every open-compiler finding in `reports` down to a
+    /// minimal reproducer (a no-op unless [`HuntConfig::reduce_reports`] is
+    /// set).  The result is a pure function of (program, report, budget),
+    /// so which worker reduces does not disturb the byte-identical-across-
+    /// jobs contract.  Differential findings are committed as-is.
+    fn reduce(&self, seed: u64, program: &Program, reports: &mut [BugReport]) {
+        if !self.config.reduce_reports {
+            return;
+        }
+        for report in reports.iter_mut().filter(|r| r.platform == Platform::P4c) {
+            // Mutation-origin findings (divergences, and crashes/rejections
+            // that fire only on a mutant — the seed program compiles clean,
+            // so the open-compiler oracles can never reproduce them) reduce
+            // through their own oracle: same mutation stream as the
+            // detection, so a candidate is accepted only when the identical
+            // finding reproduces.
+            let mut oracle: Box<dyn p4_reduce::Oracle> =
+                if matches!(report.technique, Technique::MetamorphicMutation) {
+                    let options = self
+                        .config
+                        .mutation
+                        .clone()
+                        .expect("metamorphic reports imply mutation config");
+                    Box::new(p4_reduce::MetamorphicOracle::new(
+                        (self.factory)(),
+                        options,
+                        hunt_mutation_seed(seed),
+                    ))
+                } else {
+                    Gauntlet::open_compiler_oracle(report, (self.factory)())
+                };
+            self.gauntlet.reduce_report(&mut *oracle, program, report);
+        }
+    }
+
+    /// The whole pipeline for one hunted seed: open-compiler check,
+    /// differential, mutants, then reduction of the findings — skipped once
+    /// `stopped` reports the quota met, since nothing further can commit.
+    fn check(&mut self, seed: u64, program: Program, stopped: impl Fn() -> bool) -> SeedResult {
+        let (outcome, coverage) = self.check_open(&program);
+        let mut reports = outcome.reports;
+        if !self.targets.is_empty() {
+            reports.extend(
+                self.gauntlet
+                    .check_differential(&self.targets, &program)
+                    .reports,
+            );
+        }
+        let mutated = self
+            .mutate(seed, &program, outcome.compiled.as_ref())
+            .map(|mutation| {
+                reports.extend(mutation.reports);
+                (mutation.coverage, mutation.mutants_checked)
+            });
+        if !reports.is_empty() && !stopped() {
+            self.reduce(seed, &program, &mut reports);
+        }
+        SeedResult {
+            reports,
+            observed: coverage.map(|coverage| SeedObservation {
+                coverage,
+                census: ConstructCensus::of(&program),
+                program,
+            }),
+            mutated,
+        }
+    }
+
+    /// This worker's session counters, the metamorphic checker's included.
+    fn into_tally(self) -> SessionTally {
+        let mut tally = self.tally;
+        if let Some(checker) = &self.checker {
+            tally.add(SessionTally {
+                sessions: checker.session_stats(),
+                portfolio_races: checker.portfolio_races(),
+            });
+        }
+        tally
     }
 }
 
@@ -1204,141 +1470,12 @@ impl ParallelCampaign {
             .as_ref()
             .and_then(|_| gauntlet_telemetry::install(Recorder::new()));
 
-        // Pre-worker mutation state: the accumulator, plus the outcomes of
-        // mutating replayed corpus entries (sequential, in corpus order —
-        // part of the determinism contract like the replay itself).
-        let mut mutation_accum = config.mutation.as_ref().map(|_| MutationAccum::default());
-        let mut replay_outcomes: Vec<SeedOutcome> = Vec::new();
-        let mut replay_reduction_failures = 0usize;
-
-        let guided = config.coverage.as_ref().map(|options| {
-            let corpus = match &options.corpus {
-                Some(path) => Corpus::load_or_empty(path)
-                    .unwrap_or_else(|error| panic!("cannot load corpus `{path}`: {error}")),
-                None => Corpus::default(),
-            };
-            let mut guided = GuidedCommit {
-                accum: PassCoverage::new(),
-                census: ConstructCensus::default(),
-                corpus,
-                corpus_added: 0,
-                rules_over_time: Vec::new(),
-            };
-            // Replay the corpus first (sequentially — it is small and the
-            // replay order is part of the determinism contract): every kept
-            // program re-fires its rules, warming the accumulator so the
-            // first epoch's weights already steer toward the genuinely
-            // uncovered rules.
-            let compiler = factory();
-            let gauntlet = Gauntlet::new(GauntletOptions {
-                incremental: config.incremental,
-                ..GauntletOptions::default()
-            });
-            let mut replay_checker = config
-                .mutation
-                .as_ref()
-                .map(|_| MetamorphicChecker::new(factory()));
-            for entry in &guided.corpus.entries {
-                let program = p4_parser::parse_program(&entry.source)
-                    .expect("corpus entries are parse-checked on load");
-                let (compile_result, coverage) =
-                    p4c::coverage::with_sink(|| compiler.compile(&program));
-                guided.accum.merge(&coverage);
-                guided.census.merge(&ConstructCensus::of(&program));
-                // Replayed entries are mutated too: the corpus multiplies
-                // into mutant families for free on every campaign start.
-                // Entries whose seed the hunt itself will process are
-                // skipped — the worker mutation-checks that seed's program
-                // with the same stream seed, and committing both would
-                // duplicate reports (and drain any bug quota twice).
-                let hunted_by_worker = entry.seed >= config.seed_start
-                    && entry.seed < config.seed_start + config.seed_count as u64;
-                if hunted_by_worker {
-                    continue;
-                }
-                if let (Some(options), Some(checker)) = (&config.mutation, &mut replay_checker) {
-                    let seed_final = compile_result.ok().map(|r| r.program);
-                    let result = match &seed_final {
-                        Some(seed_final) => gauntlet.check_mutants_against(
-                            checker,
-                            seed_final,
-                            &program,
-                            options,
-                            hunt_mutation_seed(entry.seed),
-                        ),
-                        None => gauntlet.check_mutants(
-                            checker,
-                            &program,
-                            options,
-                            hunt_mutation_seed(entry.seed),
-                        ),
-                    };
-                    let accum = mutation_accum.as_mut().expect("mutation accum exists");
-                    accum.coverage.merge(&result.coverage);
-                    accum.mutants += result.mutants_checked;
-                    accum.divergent += result
-                        .reports
-                        .iter()
-                        .filter(|r| matches!(r.kind, BugKind::Metamorphic))
-                        .count();
-                    let mut reports = result.reports;
-                    if config.reduce_reports {
-                        // Replayed findings honour the same
-                        // every-committed-report-is-reduced contract as
-                        // worker findings (all of them are mutation-origin,
-                        // so they reduce through the metamorphic oracle).
-                        for report in &mut reports {
-                            if report.platform != Platform::P4c {
-                                continue;
-                            }
-                            let mut oracle = p4_reduce::MetamorphicOracle::new(
-                                factory(),
-                                options.clone(),
-                                hunt_mutation_seed(entry.seed),
-                            );
-                            gauntlet.reduce_report(&mut oracle, &program, report);
-                        }
-                        replay_reduction_failures += reports
-                            .iter()
-                            .filter(|r| r.platform == Platform::P4c && r.minimized.is_none())
-                            .count();
-                    }
-                    if !reports.is_empty() {
-                        replay_outcomes.push(SeedOutcome {
-                            seed: entry.seed,
-                            reports,
-                        });
-                    }
-                }
-            }
-            guided
-        });
-
-        let replay_bugs: usize = replay_outcomes.iter().map(|o| o.reports.len()).sum();
-        let commit = Mutex::new(HuntCommit {
-            pending: BTreeMap::new(),
-            next: 0,
-            committed: replay_outcomes,
-            programs_checked: 0,
-            bugs: replay_bugs,
-            reduction_failures: replay_reduction_failures,
-            stopped: matches!(config.bug_quota, Some(quota) if replay_bugs >= quota),
-            guided,
-            mutation: mutation_accum,
-            next_heartbeat: telemetry
-                .as_ref()
-                .map(|t| t.heartbeat_every)
-                .unwrap_or(usize::MAX),
-        });
-        let processed_counts = Mutex::new(vec![0usize; jobs]);
-        let tallies = Mutex::new(SessionTally::default());
-        let mut cache_epochs = 0usize;
-
-        // One campaign-lifetime cache (PR 9; previously rebuilt per epoch):
-        // the semantics/verdict memos and the hash-consing term manager
-        // survive epoch boundaries, bounded by the barrier sweep below.  A
-        // caller-provided cache outlives even this run (fleet workers reuse
-        // it across shards), so all per-run stats are snapshot deltas.
+        // One campaign-lifetime cache: the semantics/verdict memos and the
+        // hash-consing term manager survive epoch boundaries, bounded by the
+        // barrier sweep below.  A caller-provided cache outlives even this
+        // run (fleet workers reuse it across shards), so all per-run stats
+        // are snapshot deltas — taken before the corpus replay, whose work
+        // belongs to this run.
         let campaign_cache = config
             .epoch_cache
             .then(|| external.unwrap_or_else(|| Arc::new(CampaignCache::new())));
@@ -1346,6 +1483,40 @@ impl ParallelCampaign {
             .as_ref()
             .map(|cache| cache.stats())
             .unwrap_or_default();
+
+        let mut commit = HuntCommit {
+            pending: BTreeMap::new(),
+            next: 0,
+            committed: Vec::new(),
+            programs_checked: 0,
+            bugs: 0,
+            reduction_failures: 0,
+            guided: config.coverage.as_ref().map(|options| GuidedCommit {
+                accum: PassCoverage::new(),
+                census: ConstructCensus::default(),
+                corpus: match &options.corpus {
+                    Some(path) => Corpus::load_or_empty(path)
+                        .unwrap_or_else(|error| panic!("cannot load corpus `{path}`: {error}")),
+                    None => Corpus::default(),
+                },
+                corpus_added: 0,
+                rules_over_time: Vec::new(),
+            }),
+            mutation: config.mutation.as_ref().map(|_| MutationAccum::default()),
+            next_heartbeat: telemetry
+                .as_ref()
+                .map(|t| t.heartbeat_every)
+                .unwrap_or(usize::MAX),
+        };
+        let tallies = Mutex::new(replay_corpus(
+            config,
+            &factory,
+            campaign_cache.as_ref(),
+            &mut commit,
+        ));
+        let commit = Mutex::new(commit);
+        let processed_counts = Mutex::new(vec![0usize; jobs]);
+        let mut cache_epochs = 0usize;
         let mut cache_epoch_base = cache_base;
 
         let adapter = WeightAdapter::default();
@@ -1358,7 +1529,7 @@ impl ParallelCampaign {
             // Derive this epoch's weights from everything committed so far.
             let generator_config = {
                 let state = commit.lock().expect("hunt lock");
-                if state.stopped {
+                if state.stopped(config) {
                     break;
                 }
                 match (&config.coverage, &state.guided) {
@@ -1528,7 +1699,7 @@ impl ParallelCampaign {
         commit: &Mutex<HuntCommit>,
         processed_counts: &Mutex<Vec<usize>>,
         jobs: usize,
-        epoch_cache: Option<&Arc<EpochCache>>,
+        cache: Option<&Arc<CampaignCache>>,
         tallies: &Mutex<SessionTally>,
         telemetry: Option<&HuntTelemetry>,
     ) where
@@ -1546,51 +1717,11 @@ impl ParallelCampaign {
                     if telemetry.is_some() {
                         gauntlet_telemetry::install(Recorder::new());
                     }
-                    let gauntlet = Gauntlet::new(GauntletOptions {
-                        incremental: config.incremental,
-                        ..GauntletOptions::default()
-                    });
-                    let compiler = factory();
-                    // Each worker builds its own target instances (targets
-                    // are stateless between programs, but not `Sync`).
-                    let registry = TargetRegistry::builtin();
-                    let diff_targets: Vec<Box<dyn Target>> = config
-                        .targets
-                        .iter()
-                        .map(|spec| registry.build_spec(spec).expect("specs validated above"))
-                        .collect();
-                    // Translation-validation sessions are created fresh per
-                    // program but attached to the pool's shared epoch cache
-                    // when caching is on: the memoisation layers (semantics,
-                    // verdicts, terms) live in the cache and survive the
-                    // session, while the solver stays small — a long-lived
-                    // solver accumulates variables and learned clauses
-                    // across unrelated programs and measurably *slows down*
-                    // (see the cold run of the `trajectory` bench).
-                    let mut worker_stats = SessionStats::default();
-                    let mut worker_races = 0u64;
-                    // One metamorphic checker per worker: its validation
-                    // session (semantics cache + incremental solver) is
-                    // reused across every seed the worker claims — and
-                    // attached to the same epoch cache as the session
-                    // above, so the two dimensions share interpretations.
-                    // Verdicts are cache-independent, so sharing preserves
-                    // the byte-identical-across-jobs contract.
-                    let mut mutation_checker =
-                        config.mutation.as_ref().map(|_| match epoch_cache {
-                            Some(cache) => {
-                                MetamorphicChecker::with_cache(factory(), Arc::clone(cache))
-                            }
-                            None => MetamorphicChecker::new(factory()),
-                        });
-                    if config.portfolio {
-                        if let Some(checker) = &mut mutation_checker {
-                            checker.set_portfolio(PortfolioOptions::default());
-                        }
-                    }
+                    let mut seed_worker = SeedWorker::new(config, factory, cache);
+                    let stopped = || commit.lock().expect("hunt lock").stopped(config);
                     let mut processed = 0usize;
                     loop {
-                        if commit.lock().expect("hunt lock").stopped {
+                        if stopped() {
                             break;
                         }
                         let index = next_task.fetch_add(1, Ordering::Relaxed);
@@ -1601,143 +1732,17 @@ impl ParallelCampaign {
                         let mut generator =
                             RandomProgramGenerator::new(generator_config.clone(), seed);
                         let program = gauntlet_telemetry::time(Stage::Gen, || generator.generate());
-                        // Fresh session per program (see the policy note
-                        // above); `None` preserves the historical
-                        // session-per-program path inside the pipeline when
-                        // neither knob is set.
-                        let mut session: Option<ValidationSession> = match epoch_cache {
-                            Some(cache) => Some(ValidationSession::with_cache(Arc::clone(cache))),
-                            None if config.portfolio => Some(ValidationSession::new()),
-                            None => None,
-                        };
-                        if config.portfolio {
-                            if let Some(session) = &mut session {
-                                session.set_portfolio(PortfolioOptions::default());
-                            }
-                        }
-                        // The coverage sink wraps the open-compiler check
-                        // only: pass-rule coverage means the front/mid-end
-                        // pipeline, and a replayed corpus entry re-fires
-                        // exactly the same set through `Compiler::compile`.
-                        let (open_outcome, seed_coverage) = if config.coverage.is_some() {
-                            let (outcome, coverage) = p4c::coverage::with_sink(|| {
-                                gauntlet.check_open_compiler_in(&mut session, &compiler, &program)
-                            });
-                            (outcome, Some(coverage))
-                        } else {
-                            (
-                                gauntlet.check_open_compiler_in(&mut session, &compiler, &program),
-                                None,
-                            )
-                        };
-                        if let Some(session) = &session {
-                            add_session_stats(&mut worker_stats, session.stats());
-                            worker_races += session.portfolio_races();
-                        }
-                        let mut reports = open_outcome.reports;
-                        if !diff_targets.is_empty() {
-                            reports.extend(
-                                gauntlet.check_differential(&diff_targets, &program).reports,
-                            );
-                        }
-                        let mutated = match (&config.mutation, &mut mutation_checker) {
-                            (Some(options), Some(checker)) => {
-                                // Reuse the open-compiler check's compile of
-                                // the seed (identically configured compiler,
-                                // deterministic pipeline ⇒ identical form);
-                                // a rejected/crashed seed falls back to the
-                                // checker's own compile, which then skips.
-                                let result = match &open_outcome.compiled {
-                                    Some(seed_final) => gauntlet.check_mutants_against(
-                                        checker,
-                                        seed_final,
-                                        &program,
-                                        options,
-                                        hunt_mutation_seed(seed),
-                                    ),
-                                    None => gauntlet.check_mutants(
-                                        checker,
-                                        &program,
-                                        options,
-                                        hunt_mutation_seed(seed),
-                                    ),
-                                };
-                                reports.extend(result.reports);
-                                Some((result.coverage, result.mutants_checked))
-                            }
-                            _ => None,
-                        };
-                        if config.reduce_reports
-                            && !reports.is_empty()
-                            // Once the quota stop is set nothing further can
-                            // ever commit, so skip the (expensive) reduction
-                            // of findings that are guaranteed to be dropped.
-                            && !commit.lock().expect("hunt lock").stopped
-                        {
-                            // Reduce right here on the finding worker: the
-                            // result is a pure function of (program, report,
-                            // budget), so sharding does not disturb the
-                            // byte-identical-across-jobs contract.  Only
-                            // open-compiler findings reduce through the
-                            // compiler oracles; differential findings are
-                            // committed as-is.
-                            for report in &mut reports {
-                                if report.platform != Platform::P4c {
-                                    continue;
-                                }
-                                // Mutation-origin findings (divergences,
-                                // and crashes/rejections that fire only on
-                                // a mutant — the seed program compiles
-                                // clean, so the open-compiler oracles can
-                                // never reproduce them) reduce through
-                                // their own oracle: same mutation stream as
-                                // the detection above, so a candidate is
-                                // accepted only when the identical finding
-                                // reproduces.
-                                let mut oracle: Box<dyn p4_reduce::Oracle> =
-                                    if matches!(report.technique, Technique::MetamorphicMutation) {
-                                        let options = config
-                                            .mutation
-                                            .clone()
-                                            .expect("metamorphic reports imply mutation config");
-                                        Box::new(p4_reduce::MetamorphicOracle::new(
-                                            factory(),
-                                            options,
-                                            hunt_mutation_seed(seed),
-                                        ))
-                                    } else {
-                                        Gauntlet::open_compiler_oracle(report, factory())
-                                    };
-                                gauntlet.reduce_report(&mut *oracle, &program, report);
-                            }
-                        }
+                        let result = seed_worker.check(seed, program, stopped);
                         processed += 1;
-
-                        let observed = seed_coverage.map(|coverage| SeedObservation {
-                            coverage,
-                            census: ConstructCensus::of(&program),
-                            program,
-                        });
                         let mut state = commit.lock().expect("hunt lock");
-                        state.pending.insert(
-                            index,
-                            SeedResult {
-                                reports,
-                                observed,
-                                mutated,
-                            },
-                        );
-                        state.drain(config, telemetry, epoch_cache);
+                        state.pending.insert(index, result);
+                        state.drain(config, telemetry, cache);
                     }
                     processed_counts.lock().expect("count lock")[worker] += processed;
-                    let mut tally = tallies.lock().expect("tally lock");
-                    add_session_stats(&mut tally.sessions, worker_stats);
-                    tally.portfolio_races += worker_races;
-                    if let Some(checker) = &mutation_checker {
-                        add_session_stats(&mut tally.sessions, checker.session_stats());
-                        tally.portfolio_races += checker.portfolio_races();
-                    }
-                    drop(tally);
+                    tallies
+                        .lock()
+                        .expect("tally lock")
+                        .add(seed_worker.into_tally());
                     if let Some(telemetry) = telemetry {
                         if let Some(recorder) = gauntlet_telemetry::take() {
                             telemetry.absorb(&recorder);

@@ -80,9 +80,6 @@ pub struct GauntletOptions {
     /// re-interpret-and-re-bitblast-per-pair behaviour, e.g. for the
     /// before/after comparison in the `gen_throughput` bench.
     pub incremental: bool,
-    /// Budget for [`Gauntlet::reduce_report`] (and campaigns that enable
-    /// report reduction).
-    pub reducer: ReducerConfig,
 }
 
 impl Default for GauntletOptions {
@@ -90,7 +87,6 @@ impl Default for GauntletOptions {
         GauntletOptions {
             max_tests: 8,
             incremental: true,
-            reducer: ReducerConfig::default(),
         }
     }
 }
@@ -119,7 +115,8 @@ impl Gauntlet {
         }
     }
 
-    /// Delta-debugs `program` down to a minimal reproducer of `report` and
+    /// Delta-debugs `program` down to a minimal reproducer of `report`
+    /// (within the default [`ReducerConfig`] oracle-call budget) and
     /// attaches the result (`minimized` + `reduction` stats) to the report.
     ///
     /// The oracle must match the finding (see [`Gauntlet::open_compiler_oracle`]
@@ -134,7 +131,7 @@ impl Gauntlet {
         report: &mut BugReport,
     ) -> bool {
         let target = report.dedup_key();
-        let reducer = Reducer::new(self.options.reducer.clone());
+        let reducer = Reducer::new(ReducerConfig::default());
         match reducer.reduce(oracle, program, &target) {
             Some(reduction) => {
                 report.minimized = Some(p4_ir::print_program(&reduction.program));
@@ -152,8 +149,8 @@ impl Gauntlet {
     }
 
     /// [`Gauntlet::check_open_compiler`] with an explicit (optional)
-    /// validation session: campaign workers hold one session per epoch —
-    /// attached to the pool's shared `p4_symbolic::EpochCache` — so
+    /// validation session: campaign workers open one session per program,
+    /// attached to the pool's shared `p4_symbolic::CampaignCache`, so
     /// semantics and verdicts memoise across every program the pool checks.
     /// With `None` the per-program session policy of
     /// [`Gauntlet::validate_translation`] applies unchanged.

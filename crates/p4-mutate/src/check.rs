@@ -148,14 +148,14 @@ impl MetamorphicChecker {
         }
     }
 
-    /// A checker whose validation session attaches to a shared epoch cache:
-    /// campaign workers hand every checker (and every translation-validation
-    /// session) of one epoch the same [`p4_symbolic::EpochCache`], so a
+    /// A checker whose validation session attaches to a shared campaign
+    /// cache: campaign workers hand every checker (and every
+    /// translation-validation session) the same [`p4_symbolic::CampaignCache`], so a
     /// mutant family whose compiled forms another worker already interpreted
     /// or decided is discharged from the memo.
     pub fn with_cache(
         compiler: Compiler,
-        cache: std::sync::Arc<p4_symbolic::EpochCache>,
+        cache: std::sync::Arc<p4_symbolic::CampaignCache>,
     ) -> MetamorphicChecker {
         MetamorphicChecker {
             compiler,

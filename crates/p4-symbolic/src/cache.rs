@@ -67,9 +67,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The old epoch-scoped name; the cache now lives for the whole campaign.
-pub type EpochCache = CampaignCache;
-
 /// Exact usage counters for a [`CampaignCache`], aggregated across every
 /// worker that shares it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -8,7 +8,7 @@
 //! the two output tuples differ; a satisfying assignment is a counterexample
 //! packet / table configuration and the pair of differing outputs.
 
-use crate::cache::EpochCache;
+use crate::cache::CampaignCache;
 use crate::interpreter::{interpret_program, InterpError, ProgramSemantics};
 use p4_ir::Program;
 use smt::{CheckResult, Model, Solver, TermKind, TermManager, TermRef, Value};
@@ -169,12 +169,12 @@ fn solve_canonical_model(query: &TermRef, fallback: Model) -> Model {
 }
 
 /// The worker behind [`check_semantics_equivalence_with`]: optionally
-/// consults/updates an [`EpochCache`] verdict memo, and returns how many
+/// consults/updates a [`CampaignCache`] verdict memo, and returns how many
 /// per-block queries the memo served (for session accounting).
 pub(crate) fn check_semantics_equivalence_via(
     tm: &Arc<TermManager>,
     solver: &mut Solver,
-    cache: Option<&EpochCache>,
+    cache: Option<&CampaignCache>,
     before: &ProgramSemantics,
     after: &ProgramSemantics,
 ) -> Result<(Equivalence, u64), EquivalenceError> {
@@ -277,7 +277,7 @@ pub(crate) fn check_semantics_equivalence_via(
 /// Counters describing how much work a [`ValidationSession`] saved.
 ///
 /// These are *per-session* tallies; when several sessions share one
-/// [`EpochCache`] the cache's own [`crate::cache::CacheStats`] is the exact
+/// [`CampaignCache`] the cache's own [`crate::cache::CacheStats`] is the exact
 /// pool-wide aggregate, and the two reconcile: summing the session counters
 /// over every attached session yields the cache totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -318,7 +318,7 @@ pub struct ValidationSession {
     /// Campaign-scoped shared state: term manager, semantics memo, verdict
     /// memo.  A standalone session owns a private cache; campaign workers
     /// attach to one shared instance via [`Self::with_cache`].
-    cache: Arc<EpochCache>,
+    cache: Arc<CampaignCache>,
     solver: Solver,
     stats: SessionStats,
 }
@@ -332,13 +332,13 @@ impl Default for ValidationSession {
 impl ValidationSession {
     /// A standalone session with its own private cache.
     pub fn new() -> ValidationSession {
-        ValidationSession::with_cache(Arc::new(EpochCache::new()))
+        ValidationSession::with_cache(Arc::new(CampaignCache::new()))
     }
 
     /// A session that shares `cache` (term manager, semantics memo, verdict
     /// memo) with every other session attached to it.  The session's solver
     /// and counters stay private — only the memoisation layers are shared.
-    pub fn with_cache(cache: Arc<EpochCache>) -> ValidationSession {
+    pub fn with_cache(cache: Arc<CampaignCache>) -> ValidationSession {
         ValidationSession {
             cache,
             solver: Solver::new(),
@@ -354,8 +354,8 @@ impl ValidationSession {
         self.cache.term_manager()
     }
 
-    /// The epoch cache this session is attached to.
-    pub fn cache(&self) -> &Arc<EpochCache> {
+    /// The campaign cache this session is attached to.
+    pub fn cache(&self) -> &Arc<CampaignCache> {
         &self.cache
     }
 

@@ -13,7 +13,7 @@ pub mod interpreter;
 pub mod state;
 pub mod testgen;
 
-pub use cache::{CacheBudget, CacheStats, CampaignCache, EpochCache};
+pub use cache::{CacheBudget, CacheStats, CampaignCache};
 pub use equivalence::{
     check_equivalence, check_semantics_equivalence, check_semantics_equivalence_with,
     Counterexample, Equivalence, EquivalenceError, SessionStats, ValidationSession,

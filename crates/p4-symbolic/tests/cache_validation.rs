@@ -9,7 +9,7 @@
 //! run entirely different solver state.
 
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
-use p4_symbolic::{EpochCache, Equivalence, ValidationSession};
+use p4_symbolic::{CampaignCache, Equivalence, ValidationSession};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,7 +59,7 @@ proptest! {
             // Interpreter limitations are skipped by the pipeline; the
             // cached path must skip identically (checked below).
             Err(_) => {
-                let cache = Arc::new(EpochCache::new());
+                let cache = Arc::new(CampaignCache::new());
                 let mut first = ValidationSession::with_cache(Arc::clone(&cache));
                 prop_assert!(first.check_pair(&a, &b).is_err());
                 let mut second = ValidationSession::with_cache(cache);
@@ -68,7 +68,7 @@ proptest! {
             }
         };
 
-        let cache = Arc::new(EpochCache::new());
+        let cache = Arc::new(CampaignCache::new());
         let mut first = ValidationSession::with_cache(Arc::clone(&cache));
         let first_verdict = first.check_pair(&a, &b).expect("cold path succeeded");
         assert_verdicts_agree(&cold_verdict, &first_verdict, "empty-cache session");
@@ -96,7 +96,7 @@ proptest! {
         let compiled = p4c::Compiler::reference()
             .compile(&program)
             .unwrap_or_else(|e| panic!("seed {seed}: reference compiler failed: {e}"));
-        let cache = Arc::new(EpochCache::new());
+        let cache = Arc::new(CampaignCache::new());
         for session_round in 0..2 {
             let mut session = ValidationSession::with_cache(Arc::clone(&cache));
             for (before, after) in compiled.pass_pairs() {

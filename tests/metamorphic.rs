@@ -6,8 +6,8 @@
 //! determinism contract.
 
 use gauntlet_core::{
-    BugKind, Gauntlet, HuntConfig, HuntReport, MetamorphicChecker, MetamorphicOptions,
-    ParallelCampaign, CAMPAIGN_MUTATION_SEED,
+    BugKind, CoverageOptions, Gauntlet, HuntConfig, HuntReport, MetamorphicChecker,
+    MetamorphicOptions, ParallelCampaign, SessionStats, CAMPAIGN_MUTATION_SEED,
 };
 use p4c::{Compiler, DriverBugClass};
 
@@ -241,6 +241,14 @@ fn replayed_corpus_findings_are_reduced() {
     assert_eq!(replay.programs_checked, 0);
     let summary = replay.mutation.clone().expect("mutation block present");
     assert!(summary.mutants_checked > 0, "corpus should not be empty");
+    // The replay's mutant checks are this run's work: they land in its
+    // session tallies like any hunted seed's.
+    let cache = replay.cache.expect("the campaign cache is on by default");
+    assert_ne!(
+        cache.sessions,
+        SessionStats::default(),
+        "replayed mutant checks missing from the session tallies"
+    );
     assert_eq!(replay.reduction_failures, 0, "{}", replay.render());
     for outcome in &replay.outcomes {
         for report in &outcome.reports {
@@ -252,6 +260,107 @@ fn replayed_corpus_findings_are_reduced() {
         }
     }
     let _ = std::fs::remove_file(&corpus);
+}
+
+/// A per-test corpus path, removed before use.
+fn fresh_corpus(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!(
+        "gauntlet-metamorphic-{name}-{}.txt",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    path.display().to_string()
+}
+
+/// Records a coverage corpus from seeds `[seed_start, seed_start + seeds)`
+/// of the corrupted compiler (static weights, no mutation).
+fn record_corpus(corpus: &str, seed_start: u64, seeds: usize) {
+    ParallelCampaign::new(HuntConfig {
+        jobs: 2,
+        seed_start,
+        seed_count: seeds,
+        coverage: Some(CoverageOptions {
+            adapt: false,
+            corpus: Some(corpus.to_string()),
+            ..CoverageOptions::default()
+        }),
+        ..HuntConfig::default()
+    })
+    .run(corrupted_compiler);
+}
+
+/// Replayed findings commit under the same rule as hunted ones: a corpus
+/// from seeds outside the hunted range meets a one-bug quota during the
+/// replay, so the hunt stops before any hunted seed commits — and the
+/// replayed findings are committed reduced.
+#[test]
+fn replayed_findings_meet_the_bug_quota_before_any_hunted_seed() {
+    let corpus = fresh_corpus("quota");
+    record_corpus(&corpus, 0, 20);
+    let report = ParallelCampaign::new(HuntConfig {
+        jobs: 2,
+        seed_start: 100,
+        seed_count: 20,
+        bug_quota: Some(1),
+        coverage: Some(CoverageOptions {
+            corpus: Some(corpus.clone()),
+            ..CoverageOptions::default()
+        }),
+        mutation: Some(MetamorphicOptions::default()),
+        reduce_reports: true,
+        ..HuntConfig::default()
+    })
+    .run(corrupted_compiler);
+    let _ = std::fs::remove_file(&corpus);
+    assert_eq!(report.programs_checked, 0, "{}", report.render());
+    assert!(report.total_bugs >= 1, "{}", report.render());
+    assert_eq!(report.reduction_failures, 0, "{}", report.render());
+    for outcome in &report.outcomes {
+        assert!(outcome.seed < 20, "hunted seed {} committed", outcome.seed);
+        for finding in &outcome.reports {
+            assert!(finding.minimized.is_some(), "{}", finding.message);
+        }
+    }
+}
+
+/// Corpus entries the hunt processes itself are not committed twice: with
+/// every entry inside the hunted range, the mutation side of the report —
+/// findings, reductions, mutation block — equals the same hunt without a
+/// corpus.  Only the corpus line differs (the entries are loaded rather
+/// than added), and static weights keep replay from steering generation.
+#[test]
+fn corpus_entries_inside_the_hunted_range_commit_once() {
+    const SEEDS: usize = 16;
+    let corpus = fresh_corpus("in-range");
+    record_corpus(&corpus, 0, SEEDS);
+    let hunt = |corpus: Option<String>| {
+        ParallelCampaign::new(HuntConfig {
+            jobs: 2,
+            seed_count: SEEDS,
+            coverage: Some(CoverageOptions {
+                adapt: false,
+                corpus,
+                ..CoverageOptions::default()
+            }),
+            mutation: Some(MetamorphicOptions::default()),
+            ..HuntConfig::default()
+        })
+        .run(corrupted_compiler)
+    };
+    let without_corpus = hunt(None);
+    let with_corpus = hunt(Some(corpus.clone()));
+    let _ = std::fs::remove_file(&corpus);
+    let mutation_side = |report: &HuntReport| {
+        report
+            .render()
+            .lines()
+            .filter(|line| !line.starts_with("corpus:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert!(without_corpus.total_bugs > 0, "{}", without_corpus.render());
+    assert_eq!(mutation_side(&with_corpus), mutation_side(&without_corpus));
+    assert_eq!(with_corpus.mutation, without_corpus.mutation);
 }
 
 /// The paper-shaped single-program story, end to end: trigger program,
