@@ -160,3 +160,46 @@ fn testgen_oracle_reduces_a_backend_trigger() {
         .expect("minimized parses");
     assert!(oracle.reproduces(&minimized, &target));
 }
+
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden reduction bytes: a small reducing hunt, pinned as one FNV-1a
+/// fingerprint over the rendered report plus every report's full message
+/// (counterexample included), minimized source and reduction stats.  Any
+/// change to what the reducer accepts, to the order it tries candidates in,
+/// or to the counterexamples the oracle reports moves the fingerprint; a
+/// pure speed-up of the reduction oracle must leave it untouched.
+#[test]
+fn reducing_hunt_bytes_are_pinned() {
+    let bug = SeededBug::FrontEnd(p4c::FrontEndBugClass::DefUseDropsParameterWrites);
+    let hunt = ParallelCampaign::new(HuntConfig {
+        jobs: 1,
+        seed_count: 30,
+        reduce_reports: true,
+        ..HuntConfig::default()
+    })
+    .run(|| bug.build_compiler());
+    assert!(hunt.total_bugs > 0, "the seeded bug must fire");
+    assert_eq!(hunt.reduction_failures, 0);
+
+    let mut bytes = hunt.render();
+    for outcome in &hunt.outcomes {
+        for report in &outcome.reports {
+            let minimized = report.minimized.as_deref().expect("every report reduced");
+            bytes.push_str(&format!(
+                "seed {}\n{}\n{minimized}\n{:?}\n",
+                outcome.seed, report.message, report.reduction
+            ));
+        }
+    }
+    assert_eq!(
+        format!("{:016x}", fnv1a(bytes.as_bytes())),
+        "1e272668bf867de8",
+        "reduction output changed:\n{bytes}"
+    );
+}
