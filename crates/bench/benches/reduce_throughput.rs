@@ -4,9 +4,11 @@
 //! The paper reduced every reported program to a minimal reproducer before
 //! filing it; reduction cost is dominated by re-running the detection
 //! technique on every shrink candidate.  This bench measures the raw oracle
-//! rate (crash oracle vs incremental semantic oracle) and the end-to-end
-//! cost of delta-debugging a fixed seed set, asserting along the way that
-//! every minimized program still triggers the original bug.
+//! rate (crash oracle, the incremental semantic oracle's full signature
+//! set, and its pass-targeted, verdict-only `reproduces` that every shrink
+//! step calls) and the end-to-end cost of delta-debugging a fixed seed set,
+//! asserting along the way that every minimized program still triggers the
+//! original bug.
 //!
 //! Run with `cargo bench --bench reduce_throughput`.
 
@@ -51,6 +53,14 @@ fn bench_oracle_rate(c: &mut Criterion) {
         let mut oracle =
             SemanticOracle::new(buggy_compiler(FrontEndBugClass::DefUseDropsParameterWrites));
         b.iter(|| std::hint::black_box(oracle.signatures(&program).len()))
+    });
+    group.bench_function("semantic_oracle_reproduces", |b| {
+        // The reducer's hot path: one pass-targeted, verdict-only check of
+        // the finding's own signature per shrink step.
+        let mut oracle =
+            SemanticOracle::new(buggy_compiler(FrontEndBugClass::DefUseDropsParameterWrites));
+        let target = oracle.signatures(&program).remove(0);
+        b.iter(|| std::hint::black_box(oracle.reproduces(&program, &target)))
     });
     group.finish();
 }

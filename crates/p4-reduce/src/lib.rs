@@ -9,7 +9,8 @@
 //! * [`oracle`] — the pluggable [`Oracle`] trait plus concrete oracles for
 //!   the three detection techniques: [`CrashOracle`] (the compiler still
 //!   aborts or rejects), [`SemanticOracle`] (translation validation still
-//!   reports inequivalence at the same pass, re-using one incremental
+//!   reports inequivalence at the same pass, checking only that pass's
+//!   snapshot pairs, verdict-only, and re-using one incremental
 //!   [`p4_symbolic::ValidationSession`] across every shrink step), and
 //!   [`TestgenOracle`] (any `targets::Target` — BMv2, Tofino, the
 //!   reference interpreter, or a custom registration — still diverges on

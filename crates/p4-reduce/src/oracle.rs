@@ -11,8 +11,8 @@
 //! among them.
 
 use p4_ir::Program;
-use p4_symbolic::{Equivalence, EquivalenceError, ValidationSession};
-use p4c::{CompileError, CompileResult, Compiler};
+use p4_symbolic::{difference_headline, EquivalenceError, PairVerdict, ValidationSession};
+use p4c::{CompileError, Compiler, PassSnapshot};
 use targets::{drive_target, Target, TargetFinding};
 
 /// `Platform` label of the open P4C pipeline, as it appears in dedup keys.
@@ -63,7 +63,10 @@ pub struct CrashOracle {
 }
 
 impl CrashOracle {
-    pub fn new(compiler: Compiler) -> CrashOracle {
+    /// Turns the compiler's per-pass snapshots off: this oracle reads only
+    /// the compile error, never a snapshot.
+    pub fn new(mut compiler: Compiler) -> CrashOracle {
+        compiler.options_mut().emit_snapshots = false;
         CrashOracle { compiler }
     }
 }
@@ -100,6 +103,14 @@ impl Oracle for CrashOracle {
 /// statements, so their per-pass snapshots hash-cons onto largely identical
 /// terms and the session's semantics cache and term-to-CNF memo make
 /// re-validation much cheaper than the first run.
+///
+/// A signature keeps only the first line of a counterexample, which names
+/// the differing block alone, so pairs are decided verdict-only
+/// ([`ValidationSession::check_pair_verdict`]).  A shrink step whose target
+/// names a validated pass (`Semantic|P4c|<pass>|…` or
+/// `InvalidTransformation|P4c|<pass>|…`) still compiles the whole pipeline,
+/// so a later crash or rejection still rejects the candidate, but parses
+/// and checks only that pass's snapshot pairs.
 pub struct SemanticOracle {
     compiler: Compiler,
     session: ValidationSession,
@@ -118,44 +129,51 @@ impl SemanticOracle {
         self.session.stats()
     }
 
-    fn validate(&mut self, result: &CompileResult) -> Vec<String> {
-        let mut signatures = Vec::new();
-        for (before, after) in result.pass_pairs() {
-            if let Err(error) = p4_parser::parse_program(&after.printed) {
-                signatures.push(bug_signature(
-                    "InvalidTransformation",
-                    PLATFORM_P4C,
-                    Some(&after.pass_name),
-                    &format!("emitted program no longer parses: {error}"),
-                ));
-                continue;
-            }
-            match self.session.check_pair(&before.program, &after.program) {
-                Ok(Equivalence::Equal) => {}
-                Ok(Equivalence::NotEqual(counterexample)) => {
-                    signatures.push(bug_signature(
-                        "Semantic",
-                        PLATFORM_P4C,
-                        Some(&after.pass_name),
-                        &format!("{counterexample}"),
-                    ));
-                }
-                Err(EquivalenceError::StructureMismatch { block, detail }) => {
-                    signatures.push(bug_signature(
-                        "InvalidTransformation",
-                        PLATFORM_P4C,
-                        Some(&after.pass_name),
-                        &format!("structure mismatch in `{block}`: {detail}"),
-                    ));
-                }
-                Err(EquivalenceError::Interpreter(_)) => {
-                    // Unsupported construct: skip the pair, as the pipeline
-                    // does (paper §8).
-                }
-            }
+    /// The finding one snapshot pair yields, if any.
+    fn pair_signature(&mut self, before: &PassSnapshot, after: &PassSnapshot) -> Option<String> {
+        let invalid = |message: &str| {
+            bug_signature(
+                "InvalidTransformation",
+                PLATFORM_P4C,
+                Some(&after.pass_name),
+                message,
+            )
+        };
+        if let Err(error) = p4_parser::parse_program(&after.printed) {
+            return Some(invalid(&format!(
+                "emitted program no longer parses: {error}"
+            )));
         }
-        signatures
+        match self
+            .session
+            .check_pair_verdict(&before.program, &after.program)
+        {
+            Ok(PairVerdict::Equal) => None,
+            Ok(PairVerdict::Differs { block }) => Some(bug_signature(
+                "Semantic",
+                PLATFORM_P4C,
+                Some(&after.pass_name),
+                &difference_headline(&block),
+            )),
+            Err(EquivalenceError::StructureMismatch { block, detail }) => Some(invalid(&format!(
+                "structure mismatch in `{block}`: {detail}"
+            ))),
+            // Unsupported construct: skip the pair, as the pipeline does
+            // (paper §8).
+            Err(EquivalenceError::Interpreter(_)) => None,
+        }
     }
+}
+
+/// The pass a translation-validation target names:
+/// `Semantic|P4c|<pass>|…` or `InvalidTransformation|P4c|<pass>|…`.
+fn validated_pass(target: &str) -> Option<&str> {
+    let mut fields = target.split('|');
+    let kind = fields.next()?;
+    let platform = fields.next()?;
+    let pass = fields.next()?;
+    (matches!(kind, "Semantic" | "InvalidTransformation") && platform == PLATFORM_P4C)
+        .then_some(pass)
 }
 
 impl Oracle for SemanticOracle {
@@ -176,8 +194,26 @@ impl Oracle for SemanticOracle {
                     &diagnostics.join("; "),
                 )]
             }
-            Ok(result) => self.validate(&result),
+            Ok(result) => result
+                .pass_pairs()
+                .filter_map(|(before, after)| self.pair_signature(before, after))
+                .collect(),
         }
+    }
+
+    fn reproduces(&mut self, program: &Program, target: &str) -> bool {
+        let Some(pass) = validated_pass(target) else {
+            return self.signatures(program).iter().any(|s| s == target);
+        };
+        // A crash or rejection is a finding of another kind.
+        let Ok(result) = self.compiler.compile(program) else {
+            return false;
+        };
+        let reproduces = result
+            .pass_pairs()
+            .filter(|(_, after)| after.pass_name == pass)
+            .any(|(before, after)| self.pair_signature(before, after).as_deref() == Some(target));
+        reproduces
     }
 }
 
@@ -265,6 +301,22 @@ mod tests {
         assert_eq!(sig, "Crash|P4c|SimplifyDefUse|boom");
         let sig = bug_signature("Semantic", PLATFORM_BMV2, None, "mismatch");
         assert_eq!(sig, "Semantic|Bmv2|-|mismatch");
+    }
+
+    #[test]
+    fn only_open_compiler_validation_targets_name_a_pass() {
+        let pass = |target: &str| validated_pass(target).map(str::to_string);
+        assert_eq!(
+            pass("Semantic|P4c|SimplifyDefUse|semantic difference"),
+            Some("SimplifyDefUse".into())
+        );
+        assert_eq!(
+            pass("InvalidTransformation|P4c|Predication|structure mismatch"),
+            Some("Predication".into())
+        );
+        assert_eq!(pass("Crash|P4c|SimplifyDefUse|boom"), None);
+        assert_eq!(pass("Semantic|Bmv2|-|mismatch"), None);
+        assert_eq!(pass("always"), None);
     }
 
     #[test]

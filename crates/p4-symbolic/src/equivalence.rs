@@ -12,7 +12,7 @@ use crate::cache::CampaignCache;
 use crate::interpreter::{interpret_program, InterpError, ProgramSemantics};
 use p4_ir::Program;
 use smt::{CheckResult, Model, Solver, TermKind, TermManager, TermRef, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 /// The verdict of an equivalence check.
@@ -53,9 +53,17 @@ impl Counterexample {
     }
 }
 
+/// The first line of a [`Counterexample`]'s rendering, which names only the
+/// differing block.  Translation-validation dedup keys keep just this line,
+/// so the reduction oracle builds its signatures from it without a
+/// counterexample.
+pub fn difference_headline(block: &str) -> String {
+    format!("semantic difference in block `{block}`:")
+}
+
 impl std::fmt::Display for Counterexample {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "semantic difference in block `{}`:", self.block)?;
+        writeln!(f, "{}", difference_headline(&self.block))?;
         for (name, before, after) in &self.differing_outputs {
             writeln!(f, "  {name}: {before:?} -> {after:?}")?;
         }
@@ -65,6 +73,18 @@ impl std::fmt::Display for Counterexample {
         }
         Ok(())
     }
+}
+
+/// The verdict of a verdict-only check
+/// ([`ValidationSession::check_pair_verdict`]): whether two programs differ,
+/// and in which block, without a counterexample.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PairVerdict {
+    /// No input distinguishes the two programs.
+    Equal,
+    /// The first block, in the `before` program's order, whose outputs can
+    /// differ: the block [`Equivalence::NotEqual`]'s counterexample names.
+    Differs { block: String },
 }
 
 /// Errors: either program could not be interpreted (an interpreter
@@ -140,7 +160,8 @@ pub fn check_semantics_equivalence_with(
     before: &ProgramSemantics,
     after: &ProgramSemantics,
 ) -> Result<Equivalence, EquivalenceError> {
-    check_semantics_equivalence_via(tm, solver, None, before, after).map(|(verdict, _)| verdict)
+    check_semantics_equivalence_via(tm, solver, None, Mode::Counterexample, before, after)
+        .map(|(difference, _)| difference.into())
 }
 
 /// Re-derives the distinguishing model for a satisfiable query from the
@@ -168,16 +189,68 @@ fn solve_canonical_model(query: &TermRef, fallback: Model) -> Model {
     }
 }
 
-/// The worker behind [`check_semantics_equivalence_with`]: optionally
-/// consults/updates a [`CampaignCache`] verdict memo, and returns how many
-/// per-block queries the memo served (for session accounting).
-pub(crate) fn check_semantics_equivalence_via(
+/// How much the block loop derives for the first differing block.
+enum Mode<'a> {
+    /// A canonical counterexample: the path reports take.
+    Counterexample,
+    /// The block name alone, skipping the canonical re-solve and the model
+    /// evaluation.  Satisfiable query ids are remembered in the set rather
+    /// than in the verdict memo, which holds canonical models only.
+    VerdictOnly(&'a mut HashSet<u64>),
+}
+
+/// The first differing block, with as much as the [`Mode`] derived.
+enum Difference {
+    Counterexample(Counterexample),
+    Block(String),
+}
+
+impl Difference {
+    fn block(self) -> String {
+        match self {
+            Difference::Counterexample(counterexample) => counterexample.block,
+            Difference::Block(block) => block,
+        }
+    }
+}
+
+impl From<Option<Difference>> for Equivalence {
+    fn from(difference: Option<Difference>) -> Equivalence {
+        match difference {
+            None => Equivalence::Equal,
+            Some(Difference::Counterexample(counterexample)) => {
+                Equivalence::NotEqual(counterexample)
+            }
+            Some(Difference::Block(_)) => {
+                unreachable!("only a verdict-only check omits the counterexample")
+            }
+        }
+    }
+}
+
+impl From<Option<Difference>> for PairVerdict {
+    fn from(difference: Option<Difference>) -> PairVerdict {
+        match difference {
+            None => PairVerdict::Equal,
+            Some(difference) => PairVerdict::Differs {
+                block: difference.block(),
+            },
+        }
+    }
+}
+
+/// The block loop behind every equivalence check: optionally
+/// consults/updates a [`CampaignCache`] verdict memo, and returns the first
+/// differing block (`None` when the programs are equivalent) plus how many
+/// per-block queries a memo served (for session accounting).
+fn check_semantics_equivalence_via(
     tm: &Arc<TermManager>,
     solver: &mut Solver,
     cache: Option<&CampaignCache>,
+    mut mode: Mode<'_>,
     before: &ProgramSemantics,
     after: &ProgramSemantics,
-) -> Result<(Equivalence, u64), EquivalenceError> {
+) -> Result<(Option<Difference>, u64), EquivalenceError> {
     let mut memo_served = 0u64;
     for block_before in &before.blocks {
         let Some(block_after) = after.block(&block_before.slot) else {
@@ -222,56 +295,62 @@ pub(crate) fn check_semantics_equivalence_via(
             // Every output is syntactically identical: equal without solving.
             continue;
         }
-        // Epoch verdict memo: a structurally identical query (same
-        // hash-consed id) decided by any worker this epoch is not decided
-        // again.  Cached SAT verdicts carry the canonical model, so the
-        // counterexample built from them is identical to the uncached one.
-        if let Some(cache) = cache {
-            match cache.lookup_verdict(query.id) {
-                Some(None) => {
-                    memo_served += 1;
-                    continue;
-                }
-                Some(Some(model)) => {
-                    memo_served += 1;
-                    return Ok((
-                        Equivalence::NotEqual(build_counterexample(
-                            &block_before.slot,
-                            &model,
-                            &pairs,
-                            &block_before.inputs,
-                        )),
-                        memo_served,
-                    ));
-                }
-                None => {}
-            }
-        }
-        match solver.check_with(std::slice::from_ref(&query)) {
-            CheckResult::Unsat => {
-                if let Some(cache) = cache {
-                    cache.store_verdict(query.id, None);
-                }
-                continue;
-            }
-            CheckResult::Sat(model) => {
-                let canonical = solve_canonical_model(&query, model);
-                if let Some(cache) = cache {
-                    cache.store_verdict(query.id, Some(canonical.clone()));
-                }
+        if let Mode::VerdictOnly(sat_queries) = &mode {
+            if sat_queries.contains(&query.id) {
+                memo_served += 1;
                 return Ok((
-                    Equivalence::NotEqual(build_counterexample(
-                        &block_before.slot,
-                        &canonical,
-                        &pairs,
-                        &block_before.inputs,
-                    )),
+                    Some(Difference::Block(block_before.slot.clone())),
                     memo_served,
                 ));
             }
         }
+        // Epoch verdict memo: a structurally identical query (same
+        // hash-consed id) decided by any worker this epoch is not decided
+        // again.  Cached SAT verdicts carry the canonical model, so the
+        // counterexample built from them is identical to the uncached one.
+        let model = match cache.and_then(|cache| cache.lookup_verdict(query.id)) {
+            Some(None) => {
+                memo_served += 1;
+                continue;
+            }
+            Some(Some(model)) => {
+                memo_served += 1;
+                model
+            }
+            None => match solver.check_with(std::slice::from_ref(&query)) {
+                CheckResult::Unsat => {
+                    if let Some(cache) = cache {
+                        cache.store_verdict(query.id, None);
+                    }
+                    continue;
+                }
+                CheckResult::Sat(model) => match &mut mode {
+                    Mode::Counterexample => {
+                        let canonical = solve_canonical_model(&query, model);
+                        if let Some(cache) = cache {
+                            cache.store_verdict(query.id, Some(canonical.clone()));
+                        }
+                        canonical
+                    }
+                    Mode::VerdictOnly(sat_queries) => {
+                        sat_queries.insert(query.id);
+                        model
+                    }
+                },
+            },
+        };
+        let difference = match mode {
+            Mode::Counterexample => Difference::Counterexample(build_counterexample(
+                &block_before.slot,
+                &model,
+                &pairs,
+                &block_before.inputs,
+            )),
+            Mode::VerdictOnly(_) => Difference::Block(block_before.slot.clone()),
+        };
+        return Ok((Some(difference), memo_served));
     }
-    Ok((Equivalence::Equal, memo_served))
+    Ok((None, memo_served))
 }
 
 /// Counters describing how much work a [`ValidationSession`] saved.
@@ -294,7 +373,9 @@ pub struct SessionStats {
     /// Equivalence checks decided entirely by the epoch verdict memo (at
     /// least one memoised query, no solver call).
     pub cached_checks: u64,
-    /// Per-block queries this session served from the epoch verdict memo.
+    /// Per-block queries this session served from the epoch verdict memo,
+    /// or, in verdict-only checks, from its own memo of satisfiable queries
+    /// (which the cache never sees, so those do not reconcile with it).
     pub verdict_hits: u64,
     /// Per-block queries this session had to decide with its solver.
     pub verdict_misses: u64,
@@ -320,6 +401,10 @@ pub struct ValidationSession {
     /// attach to one shared instance via [`Self::with_cache`].
     cache: Arc<CampaignCache>,
     solver: Solver,
+    /// Ids of the satisfiable queries verdict-only checks decided.  Their
+    /// models are not canonical, so they stay out of the cache's verdict
+    /// memo; ids are stable because a session never straddles a barrier.
+    sat_queries: HashSet<u64>,
     stats: SessionStats,
 }
 
@@ -342,6 +427,7 @@ impl ValidationSession {
         ValidationSession {
             cache,
             solver: Solver::new(),
+            sat_queries: HashSet::new(),
             stats: SessionStats::default(),
         }
     }
@@ -405,14 +491,43 @@ impl ValidationSession {
         before: &Program,
         after: &Program,
     ) -> Result<Equivalence, EquivalenceError> {
+        self.check_pair_in(before, after, false)
+            .map(Equivalence::from)
+    }
+
+    /// [`Self::check_pair`] without the counterexample: the verdict and the
+    /// differing block only, or the same error.  It skips the canonical
+    /// re-solve and the model evaluation, and a satisfiable query it has
+    /// decided before is not decided again.
+    pub fn check_pair_verdict(
+        &mut self,
+        before: &Program,
+        after: &Program,
+    ) -> Result<PairVerdict, EquivalenceError> {
+        self.check_pair_in(before, after, true)
+            .map(PairVerdict::from)
+    }
+
+    fn check_pair_in(
+        &mut self,
+        before: &Program,
+        after: &Program,
+        verdict_only: bool,
+    ) -> Result<Option<Difference>, EquivalenceError> {
         let _telemetry = gauntlet_telemetry::Span::begin(gauntlet_telemetry::Stage::Validate);
         let semantics_before = self.semantics(before)?;
         let semantics_after = self.semantics(after)?;
         let solver_checks_before = self.solver.total_checks();
+        let mode = if verdict_only {
+            Mode::VerdictOnly(&mut self.sat_queries)
+        } else {
+            Mode::Counterexample
+        };
         let result = check_semantics_equivalence_via(
             &self.cache.term_manager(),
             &mut self.solver,
             Some(&self.cache),
+            mode,
             &semantics_before,
             &semantics_after,
         );
@@ -434,7 +549,7 @@ impl ValidationSession {
         } else {
             self.stats.solver_checks += 1;
         }
-        result.map(|(verdict, _)| verdict)
+        result.map(|(difference, _)| difference)
     }
 }
 
@@ -672,5 +787,137 @@ mod tests {
             )]),
         );
         assert!(!check_equivalence(&before, &after).unwrap().is_equal());
+    }
+
+    /// Pairs covering every verdict shape: equal (identical, folded equal,
+    /// and equal only by solving), and unequal in a dropped write, swapped
+    /// branches and a non-wrapping fold.  A satisfiable pair comes before
+    /// the pair that needs the solver to prove it equal.
+    fn verdict_fixture_pairs() -> Vec<(Program, Program)> {
+        let field = |name: &str| Expr::dotted(&["hdr", "h", name]);
+        let assign = |name: &str, value: Expr| Statement::assign(field(name), value);
+        let branch = |then_value: u128, else_value: u128| {
+            builder::v1model_program(
+                vec![],
+                Block::new(vec![Statement::if_else(
+                    Expr::binary(BinOp::Eq, field("a"), Expr::uint(0, 8)),
+                    assign("b", Expr::uint(then_value, 8)),
+                    assign("b", Expr::uint(else_value, 8)),
+                )]),
+            )
+        };
+        let with_apply =
+            |value: Expr| builder::v1model_program(vec![], Block::new(vec![assign("a", value)]));
+        // (b & c) | (b & ~c) == b, which hash-consing does not fold.
+        let masked = Expr::binary(
+            BinOp::BitOr,
+            Expr::binary(BinOp::BitAnd, field("b"), field("c")),
+            Expr::binary(
+                BinOp::BitAnd,
+                field("b"),
+                Expr::unary(p4_ir::UnOp::BitNot, field("c")),
+            ),
+        );
+        vec![
+            (builder::trivial_program(), builder::trivial_program()),
+            (
+                with_apply(Expr::binary(BinOp::Add, field("b"), Expr::uint(0, 8))),
+                with_apply(field("b")),
+            ),
+            (
+                builder::trivial_program(),
+                builder::v1model_program(vec![], Block::empty()),
+            ),
+            (with_apply(masked), with_apply(field("b"))),
+            (branch(1, 2), branch(2, 1)),
+            (
+                with_apply(Expr::binary(BinOp::Add, Expr::uint(250, 8), field("b"))),
+                with_apply(Expr::binary(BinOp::Sub, Expr::uint(250, 8), field("b"))),
+            ),
+        ]
+    }
+
+    #[test]
+    fn verdict_only_check_agrees_with_check_pair() {
+        // A fresh session per pair; one long-lived verdict-only session, as
+        // in reduction; and one session where the verdict-only check runs
+        // after check_pair and meets its cached verdicts.
+        let mut verdict_only = ValidationSession::new();
+        let mut after_full = ValidationSession::new();
+        for (before, after) in verdict_fixture_pairs() {
+            let full = ValidationSession::new()
+                .check_pair(&before, &after)
+                .unwrap();
+            let expected = match &full {
+                Equivalence::Equal => PairVerdict::Equal,
+                Equivalence::NotEqual(counterexample) => PairVerdict::Differs {
+                    block: counterexample.block.clone(),
+                },
+            };
+            let verdict = ValidationSession::new()
+                .check_pair_verdict(&before, &after)
+                .unwrap();
+            assert_eq!(verdict, expected);
+            assert_eq!(verdict == PairVerdict::Equal, full.is_equal());
+            assert_eq!(
+                verdict_only.check_pair_verdict(&before, &after).unwrap(),
+                expected
+            );
+            after_full.check_pair(&before, &after).unwrap();
+            assert_eq!(
+                after_full.check_pair_verdict(&before, &after).unwrap(),
+                expected
+            );
+        }
+        // Every pair but the two that fold needs the solver, the pair that
+        // is equal only by solving included.
+        assert_eq!(verdict_only.stats().solver_checks, 4);
+    }
+
+    #[test]
+    fn verdict_only_check_returns_the_same_structure_mismatch() {
+        let before = builder::trivial_program();
+        let mut after = builder::trivial_program();
+        // `standard_metadata` no longer copies out, so its outputs vanish.
+        for param in &mut after.control_mut("ingress_impl").unwrap().params {
+            if param.name == "standard_metadata" {
+                param.direction = p4_ir::Direction::In;
+            }
+        }
+        let full = ValidationSession::new().check_pair(&before, &after);
+        let verdict = ValidationSession::new().check_pair_verdict(&before, &after);
+        match (full, verdict) {
+            (
+                Err(EquivalenceError::StructureMismatch { block, detail }),
+                Err(EquivalenceError::StructureMismatch {
+                    block: verdict_block,
+                    detail: verdict_detail,
+                }),
+            ) => {
+                assert_eq!((block, detail), (verdict_block, verdict_detail));
+            }
+            other => panic!("expected two structure mismatches, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn verdict_only_check_decides_a_satisfiable_query_once() {
+        let before = builder::trivial_program();
+        let after = builder::v1model_program(vec![], Block::empty());
+        let mut session = ValidationSession::new();
+        let first = session.check_pair_verdict(&before, &after).unwrap();
+        assert!(matches!(first, PairVerdict::Differs { .. }));
+        let stats = session.stats();
+        assert_eq!(stats.solver_checks, 1);
+        assert_eq!(stats.verdict_misses, 1);
+        // The warm solver's model is not canonical: it stays out of the
+        // verdict memo.
+        assert_eq!(session.cache().stats().verdict_misses, 0);
+        assert_eq!(session.check_pair_verdict(&before, &after).unwrap(), first);
+        let again = session.stats();
+        assert_eq!(again.verdict_misses, 1, "the repeated query was re-solved");
+        assert_eq!(again.solver_checks, 1);
+        assert_eq!(again.cached_checks, 1);
+        assert_eq!(again.verdict_hits, 1);
     }
 }

@@ -16,7 +16,8 @@ pub mod testgen;
 pub use cache::{CacheBudget, CacheStats, CampaignCache};
 pub use equivalence::{
     check_equivalence, check_semantics_equivalence, check_semantics_equivalence_with,
-    Counterexample, Equivalence, EquivalenceError, SessionStats, ValidationSession,
+    difference_headline, Counterexample, Equivalence, EquivalenceError, PairVerdict, SessionStats,
+    ValidationSession,
 };
 pub use interpreter::{
     interpret_program, BlockSemantics, InterpError, ProgramSemantics, TableInfo,

@@ -11,8 +11,6 @@
 
 use crate::error::{CompileError, Diagnostic};
 use p4_ir::{print_program, Program};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Which part of the compiler a pass belongs to.  Table 3 of the paper
@@ -237,7 +235,6 @@ impl Compiler {
                 printed: print_program(&current),
             });
         }
-        let mut last_hash = program_hash(&current);
 
         for (index, pass) in self.passes.iter().enumerate() {
             gauntlet_telemetry::count_pass(pass.name());
@@ -264,10 +261,10 @@ impl Compiler {
                     // crashing pass never reaches this; the scope flushes
                     // its dangling segment on unwind instead.
                     crate::coverage::pass_boundary();
-                    current = transformed;
-                    let hash = program_hash(&current);
-                    if hash != last_hash {
-                        last_hash = hash;
+                    // Emitted programs identical to their predecessor are
+                    // ignored (paper §5.2).
+                    if transformed != current {
+                        current = transformed;
                         if self.options.emit_snapshots {
                             snapshots.push(PassSnapshot {
                                 pass_name: pass.name().to_string(),
@@ -290,15 +287,6 @@ impl Compiler {
             coverage: crate::coverage::PassCoverage::new(),
         })
     }
-}
-
-/// Structural hash of a program, used to detect whether a pass changed it
-/// (the paper ignores emitted programs whose hash equals the predecessor's,
-/// §5.2).
-pub fn program_hash(program: &Program) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    program.hash(&mut hasher);
-    hasher.finish()
 }
 
 fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
@@ -513,17 +501,43 @@ mod tests {
         assert!(reference.program != corrupted.program);
     }
 
+    /// A pass whose output equals its input counts as unchanged, however it
+    /// got there; the smallest real change is snapshotted.
     #[test]
-    fn program_hash_is_stable_and_sensitive() {
-        let a = builder::trivial_program();
-        let b = builder::trivial_program();
-        assert_eq!(program_hash(&a), program_hash(&b));
-        let mut c = builder::trivial_program();
-        c.control_mut("ingress_impl")
-            .unwrap()
-            .apply
-            .statements
-            .push(p4_ir::Statement::Exit);
-        assert_ne!(program_hash(&a), program_hash(&c));
+    fn pass_changes_are_detected_by_program_equality() {
+        struct RoundTripPass;
+        impl Pass for RoundTripPass {
+            fn name(&self) -> &str {
+                "RoundTrip"
+            }
+            fn run(&self, program: &mut Program) -> Result<(), Diagnostic> {
+                let apply = &mut program.control_mut("ingress_impl").unwrap().apply;
+                apply.statements.push(p4_ir::Statement::Exit);
+                apply.statements.pop();
+                Ok(())
+            }
+        }
+        struct AppendExitPass;
+        impl Pass for AppendExitPass {
+            fn name(&self) -> &str {
+                "AppendExit"
+            }
+            fn run(&self, program: &mut Program) -> Result<(), Diagnostic> {
+                let apply = &mut program.control_mut("ingress_impl").unwrap().apply;
+                apply.statements.push(p4_ir::Statement::Exit);
+                Ok(())
+            }
+        }
+        let mut compiler = Compiler::empty();
+        compiler.add_pass(Box::new(RoundTripPass));
+        compiler.add_pass(Box::new(AppendExitPass));
+        let result = compiler.compile(&builder::trivial_program()).unwrap();
+        assert_eq!(result.unchanged_passes, vec!["RoundTrip"]);
+        let names: Vec<&str> = result
+            .snapshots
+            .iter()
+            .map(|snapshot| snapshot.pass_name.as_str())
+            .collect();
+        assert_eq!(names, vec!["<input>", "AppendExit"]);
     }
 }

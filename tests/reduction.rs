@@ -203,3 +203,21 @@ fn reducing_hunt_bytes_are_pinned() {
         "reduction output changed:\n{bytes}"
     );
 }
+
+/// The crash oracle compiles without per-pass snapshots, which it never
+/// reads; its signatures are those of a snapshotting compile.
+#[test]
+fn crash_oracle_signatures_do_not_need_snapshots() {
+    use p4_reduce::{CrashOracle, Oracle, SemanticOracle};
+    let bug = SeededBug::FrontEnd(p4c::FrontEndBugClass::TypeInferenceShiftCrash);
+    let program = bug.trigger_program();
+    let snapshotting = SemanticOracle::new(bug.build_compiler()).signatures(&program);
+    assert!(
+        snapshotting.iter().any(|s| s.starts_with("Crash|P4c|")),
+        "the trigger must crash: {snapshotting:?}"
+    );
+    assert_eq!(
+        CrashOracle::new(bug.build_compiler()).signatures(&program),
+        snapshotting
+    );
+}
