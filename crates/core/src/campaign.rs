@@ -27,7 +27,8 @@ use crate::bugs::{BugDatabase, BugKind, BugReport, CompilerArea, Platform, Techn
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::inject::SeededBug;
 use crate::pipeline::{Gauntlet, GauntletOptions, MutationOutcome, ProgramOutcome};
-use gauntlet_telemetry::{json, EventLog, Heartbeat, ProgressSink, Recorder, Stage};
+use gauntlet_telemetry::json::Json;
+use gauntlet_telemetry::{EventLog, Heartbeat, ProgressSink, Recorder, Stage};
 use p4_gen::{GeneratorConfig, RandomProgramGenerator, WeightAdapter};
 use p4_ir::{print_program, ConstructCensus, Program};
 use p4_mutate::{hunt_mutation_seed, MetamorphicChecker, MetamorphicOptions, MutationCoverage};
@@ -960,7 +961,7 @@ impl HuntTelemetry {
         }
     }
 
-    fn emit(&self, event: &str, fields: &[(&str, String)]) {
+    fn emit(&self, event: &str, fields: &[(&str, Json)]) {
         if let Some(log) = &self.events {
             log.emit(event, fields);
         }
@@ -1065,31 +1066,19 @@ impl HuntCommit {
                 telemetry.emit(
                     "seed",
                     &[
-                        ("seed", committed_seed.to_string()),
-                        ("bugs", result.reports.len().to_string()),
+                        ("seed", committed_seed.into()),
+                        ("bugs", result.reports.len().into()),
                     ],
                 );
                 for report in &result.reports {
                     telemetry.emit(
                         "bug",
                         &[
-                            ("seed", committed_seed.to_string()),
-                            ("kind", json::string(&format!("{:?}", report.kind))),
-                            ("platform", json::string(&report.platform.to_string())),
-                            (
-                                "pass",
-                                match &report.pass {
-                                    Some(pass) => json::string(pass),
-                                    None => "null".to_string(),
-                                },
-                            ),
-                            (
-                                "attributed_to",
-                                match &report.attributed_to {
-                                    Some(target) => json::string(target),
-                                    None => "null".to_string(),
-                                },
-                            ),
+                            ("seed", committed_seed.into()),
+                            ("kind", format!("{:?}", report.kind).into()),
+                            ("platform", report.platform.to_string().into()),
+                            ("pass", report.pass.as_deref().into()),
+                            ("attributed_to", report.attributed_to.as_deref().into()),
                         ],
                     );
                 }
@@ -1451,14 +1440,14 @@ impl ParallelCampaign {
             telemetry.emit(
                 "campaign_start",
                 &[
-                    ("jobs", jobs.to_string()),
-                    ("seed_start", config.seed_start.to_string()),
-                    ("seed_count", config.seed_count.to_string()),
-                    ("targets", config.targets.len().to_string()),
-                    ("coverage", config.coverage.is_some().to_string()),
-                    ("mutation", config.mutation.is_some().to_string()),
-                    ("epoch_cache", config.epoch_cache.to_string()),
-                    ("portfolio", config.portfolio.to_string()),
+                    ("jobs", jobs.into()),
+                    ("seed_start", config.seed_start.into()),
+                    ("seed_count", config.seed_count.into()),
+                    ("targets", config.targets.len().into()),
+                    ("coverage", config.coverage.is_some().into()),
+                    ("mutation", config.mutation.is_some().into()),
+                    ("epoch_cache", config.epoch_cache.into()),
+                    ("portfolio", config.portfolio.into()),
                 ],
             );
         }
@@ -1577,9 +1566,9 @@ impl ParallelCampaign {
                 telemetry.emit(
                     "epoch",
                     &[
-                        ("epoch", epoch_index.to_string()),
-                        ("programs_checked", programs_checked.to_string()),
-                        ("bugs", bugs_so_far.to_string()),
+                        ("epoch", epoch_index.into()),
+                        ("programs_checked", programs_checked.into()),
+                        ("bugs", bugs_so_far.into()),
                     ],
                 );
                 if let Some(cache) = &campaign_cache {
@@ -1589,13 +1578,13 @@ impl ParallelCampaign {
                     telemetry.emit(
                         "cache",
                         &[
-                            ("epoch", epoch_index.to_string()),
-                            ("semantics_hits", stats.semantics_hits.to_string()),
-                            ("semantics_misses", stats.semantics_misses.to_string()),
-                            ("verdict_hits", stats.verdict_hits.to_string()),
-                            ("verdict_misses", stats.verdict_misses.to_string()),
-                            ("evicted_entries", cache.evicted_entries().to_string()),
-                            ("manager_resets", cache.manager_resets().to_string()),
+                            ("epoch", epoch_index.into()),
+                            ("semantics_hits", stats.semantics_hits.into()),
+                            ("semantics_misses", stats.semantics_misses.into()),
+                            ("verdict_hits", stats.verdict_hits.into()),
+                            ("verdict_misses", stats.verdict_misses.into()),
+                            ("evicted_entries", cache.evicted_entries().into()),
+                            ("manager_resets", cache.manager_resets().into()),
                         ],
                     );
                 }
@@ -1663,9 +1652,9 @@ impl ParallelCampaign {
             telemetry.emit(
                 "campaign_end",
                 &[
-                    ("programs_checked", state.programs_checked.to_string()),
-                    ("bugs", state.bugs.to_string()),
-                    ("elapsed_ms", start.elapsed().as_millis().to_string()),
+                    ("programs_checked", state.programs_checked.into()),
+                    ("bugs", state.bugs.into()),
+                    ("elapsed_ms", (start.elapsed().as_millis() as u64).into()),
                 ],
             );
             telemetry.aggregate.into_inner().expect("telemetry lock")

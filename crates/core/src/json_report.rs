@@ -21,277 +21,183 @@
 //! `tests/golden_report.rs` proves by re-rendering the tables from the
 //! parsed JSON alone.
 //!
-//! The workspace's `serde` shim is a no-op, so the document is hand-written
-//! with a fixed key order (the same discipline as the committed
-//! `BENCH_*.json` trajectory files) using `gauntlet_telemetry::json` for
-//! escaping.
+//! Both directions go through `gauntlet_telemetry::json`, the workspace's
+//! one JSON codec: the writers build [`Json`] values with a fixed key order
+//! (the layout `tests/golden_report.rs` pins byte for byte) and the readers
+//! use its typed field accessors.
 
 use crate::bugs::{BugKind, BugReport, CompilerArea, Platform, Technique};
 use crate::campaign::{
     CacheSummary, CoverageSummary, DiversitySummary, HuntReport, MutationSummary, SeedOutcome,
 };
-use gauntlet_telemetry::json;
-use gauntlet_telemetry::json::Json;
+use gauntlet_telemetry::json::{self, Json};
 use p4_symbolic::{CacheStats, SessionStats};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Schema tag of the JSON report document.
 pub const REPORT_SCHEMA: &str = "gauntlet-report-v1";
 
-fn json_opt_string(value: &Option<String>) -> String {
-    match value {
-        Some(text) => json::string(text),
-        None => "null".to_string(),
-    }
+/// One [`BugReport`] in the `gauntlet-report-v1` layout.  Public because
+/// the fleet's `TriageStore` persists first-seen reports in exactly this
+/// form (so triage bytes match report bytes).
+pub fn bug_report_json(report: &BugReport) -> Json {
+    let reduction = report.reduction.as_ref().map(|stats| {
+        json::object([
+            ("initial_statements", stats.initial_statements.into()),
+            ("final_statements", stats.final_statements.into()),
+            ("initial_nodes", stats.initial_nodes.into()),
+            ("final_nodes", stats.final_nodes.into()),
+            ("oracle_calls", stats.oracle_calls.into()),
+            ("typecheck_rejections", stats.typecheck_rejections.into()),
+            ("accepted_steps", stats.accepted_steps.into()),
+            ("rounds", stats.rounds.into()),
+        ])
+    });
+    json::object([
+        ("kind", format!("{:?}", report.kind).into()),
+        ("platform", report.platform.to_string().into()),
+        ("area", report.area.to_string().into()),
+        ("technique", format!("{:?}", report.technique).into()),
+        ("pass", report.pass.as_deref().into()),
+        ("message", report.message.as_str().into()),
+        ("attributed_to", report.attributed_to.as_deref().into()),
+        ("minimized", report.minimized.as_deref().into()),
+        ("reduction", reduction.into()),
+    ])
 }
 
-fn json_counter_map(map: &BTreeMap<String, usize>) -> String {
-    let mut out = String::from("{");
-    for (index, (key, value)) in map.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", json::string(key), value));
-    }
-    out.push('}');
-    out
+fn coverage_json(coverage: &CoverageSummary) -> Json {
+    let trajectory: Vec<Json> = coverage
+        .rules_over_time
+        .iter()
+        .map(|&(programs, rules)| vec![programs, rules].into())
+        .collect();
+    json::object([
+        ("fired", json::strings(&coverage.fired)),
+        ("rules_total", coverage.rules_total.into()),
+        ("constructs_seen", coverage.constructs_seen.into()),
+        ("corpus_size", coverage.corpus_size.into()),
+        ("corpus_added", coverage.corpus_added.into()),
+        ("rules_over_time", trajectory.into()),
+        ("pairs", json::strings(&coverage.pairs)),
+        ("pairs_total", coverage.pairs_total.into()),
+    ])
 }
 
-fn json_string_array(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (index, item) in items.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        out.push_str(&json::string(item));
-    }
-    out.push(']');
-    out
+fn diversity_json(diversity: &DiversitySummary) -> Json {
+    json::object([
+        ("slices", diversity.slices.into()),
+        ("distinct_bugs", json::counters(&diversity.distinct_bugs)),
+    ])
 }
 
-/// Serialize one [`BugReport`] in the `gauntlet-report-v1` layout.  Public
-/// because the fleet's `TriageStore` persists first-seen reports in exactly
-/// this form (so triage bytes match report bytes).
-pub fn bug_report_json(report: &BugReport) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"kind\":{}",
-        json::string(&format!("{:?}", report.kind))
-    ));
-    out.push_str(&format!(
-        ",\"platform\":{}",
-        json::string(&report.platform.to_string())
-    ));
-    out.push_str(&format!(
-        ",\"area\":{}",
-        json::string(&report.area.to_string())
-    ));
-    out.push_str(&format!(
-        ",\"technique\":{}",
-        json::string(&format!("{:?}", report.technique))
-    ));
-    out.push_str(&format!(",\"pass\":{}", json_opt_string(&report.pass)));
-    out.push_str(&format!(",\"message\":{}", json::string(&report.message)));
-    out.push_str(&format!(
-        ",\"attributed_to\":{}",
-        json_opt_string(&report.attributed_to)
-    ));
-    out.push_str(&format!(
-        ",\"minimized\":{}",
-        json_opt_string(&report.minimized)
-    ));
-    match &report.reduction {
-        Some(stats) => out.push_str(&format!(
-            ",\"reduction\":{{\"initial_statements\":{},\"final_statements\":{},\"initial_nodes\":{},\"final_nodes\":{},\"oracle_calls\":{},\"typecheck_rejections\":{},\"accepted_steps\":{},\"rounds\":{}}}",
-            stats.initial_statements,
-            stats.final_statements,
-            stats.initial_nodes,
-            stats.final_nodes,
-            stats.oracle_calls,
-            stats.typecheck_rejections,
-            stats.accepted_steps,
-            stats.rounds
-        )),
-        None => out.push_str(",\"reduction\":null"),
-    }
-    out.push('}');
-    out
+fn mutation_json(mutation: &MutationSummary) -> Json {
+    json::object([
+        ("mutants_checked", mutation.mutants_checked.into()),
+        ("divergent", mutation.divergent.into()),
+        ("fired", json::strings(&mutation.fired)),
+        ("rules_total", mutation.rules_total.into()),
+    ])
 }
 
-fn coverage_json(coverage: &CoverageSummary) -> String {
-    let mut trajectory = String::from("[");
-    for (index, (programs, rules)) in coverage.rules_over_time.iter().enumerate() {
-        if index > 0 {
-            trajectory.push(',');
-        }
-        trajectory.push_str(&format!("[{programs},{rules}]"));
-    }
-    trajectory.push(']');
-    format!(
-        "{{\"fired\":{},\"rules_total\":{},\"constructs_seen\":{},\"corpus_size\":{},\"corpus_added\":{},\"rules_over_time\":{},\"pairs\":{},\"pairs_total\":{}}}",
-        json_string_array(&coverage.fired),
-        coverage.rules_total,
-        coverage.constructs_seen,
-        coverage.corpus_size,
-        coverage.corpus_added,
-        trajectory,
-        json_string_array(&coverage.pairs),
-        coverage.pairs_total
-    )
-}
-
-fn diversity_json(diversity: &DiversitySummary) -> String {
-    format!(
-        "{{\"slices\":{},\"distinct_bugs\":{}}}",
-        diversity.slices,
-        json_counter_map(&diversity.distinct_bugs)
-    )
-}
-
-fn mutation_json(mutation: &MutationSummary) -> String {
-    format!(
-        "{{\"mutants_checked\":{},\"divergent\":{},\"fired\":{},\"rules_total\":{}}}",
-        mutation.mutants_checked,
-        mutation.divergent,
-        json_string_array(&mutation.fired),
-        mutation.rules_total
-    )
-}
-
-/// Render a [`CacheSummary`] as its `gauntlet-report-v1` `run.cache`
-/// object.  Public because fleet fragments embed the same shape (a worker
-/// reports its shard's cache counters through the frame protocol and the
+/// A [`CacheSummary`] as its `gauntlet-report-v1` `run.cache` object.
+/// Public because fleet fragments embed the same shape (a worker reports
+/// its shard's cache counters through the frame protocol and the
 /// coordinator sums them into the merged summary).
-pub fn cache_json(cache: &CacheSummary) -> String {
-    format!(
-        "{{\"epochs\":{},\"stats\":{{\"semantics_hits\":{},\"semantics_misses\":{},\"verdict_hits\":{},\"verdict_misses\":{}}},\"sessions\":{{\"semantics_hits\":{},\"semantics_misses\":{},\"trivial_checks\":{},\"solver_checks\":{},\"cached_checks\":{},\"verdict_hits\":{},\"verdict_misses\":{}}},\"portfolio_races\":{}}}",
-        cache.epochs,
-        cache.stats.semantics_hits,
-        cache.stats.semantics_misses,
-        cache.stats.verdict_hits,
-        cache.stats.verdict_misses,
-        cache.sessions.semantics_hits,
-        cache.sessions.semantics_misses,
-        cache.sessions.trivial_checks,
-        cache.sessions.solver_checks,
-        cache.sessions.cached_checks,
-        cache.sessions.verdict_hits,
-        cache.sessions.verdict_misses,
-        cache.portfolio_races
-    )
+pub fn cache_json(cache: &CacheSummary) -> Json {
+    let stats = &cache.stats;
+    let sessions = &cache.sessions;
+    json::object([
+        ("epochs", cache.epochs.into()),
+        (
+            "stats",
+            json::object([
+                ("semantics_hits", stats.semantics_hits.into()),
+                ("semantics_misses", stats.semantics_misses.into()),
+                ("verdict_hits", stats.verdict_hits.into()),
+                ("verdict_misses", stats.verdict_misses.into()),
+            ]),
+        ),
+        (
+            "sessions",
+            json::object([
+                ("semantics_hits", sessions.semantics_hits.into()),
+                ("semantics_misses", sessions.semantics_misses.into()),
+                ("trivial_checks", sessions.trivial_checks.into()),
+                ("solver_checks", sessions.solver_checks.into()),
+                ("cached_checks", sessions.cached_checks.into()),
+                ("verdict_hits", sessions.verdict_hits.into()),
+                ("verdict_misses", sessions.verdict_misses.into()),
+            ]),
+        ),
+        ("portfolio_races", cache.portfolio_races.into()),
+    ])
 }
 
 /// Parse a `run.cache`-shaped object back into a [`CacheSummary`] — the
 /// inverse of [`cache_json`].  Fleet workers embed this shape in fragment
 /// bodies; the coordinator parses and sums the blocks at merge time.
 pub fn cache_summary_from_json(value: &Json) -> Result<CacheSummary, String> {
-    fn counter(value: &Json, key: &str) -> Result<u64, String> {
-        req(value, key)?
-            .as_u64()
-            .ok_or_else(|| format!("`{key}` is not an integer"))
-    }
-    let stats = req(value, "stats")?;
-    let sessions = req(value, "sessions")?;
+    let stats = value.field("stats")?;
+    let sessions = value.field("sessions")?;
     Ok(CacheSummary {
-        epochs: usize_field(value, "epochs")?,
+        epochs: value.usize_field("epochs")?,
         stats: CacheStats {
-            semantics_hits: counter(stats, "semantics_hits")?,
-            semantics_misses: counter(stats, "semantics_misses")?,
-            verdict_hits: counter(stats, "verdict_hits")?,
-            verdict_misses: counter(stats, "verdict_misses")?,
+            semantics_hits: stats.u64_field("semantics_hits")?,
+            semantics_misses: stats.u64_field("semantics_misses")?,
+            verdict_hits: stats.u64_field("verdict_hits")?,
+            verdict_misses: stats.u64_field("verdict_misses")?,
         },
         sessions: SessionStats {
-            semantics_hits: counter(sessions, "semantics_hits")?,
-            semantics_misses: counter(sessions, "semantics_misses")?,
-            trivial_checks: counter(sessions, "trivial_checks")?,
-            solver_checks: counter(sessions, "solver_checks")?,
-            cached_checks: counter(sessions, "cached_checks")?,
-            verdict_hits: counter(sessions, "verdict_hits")?,
-            verdict_misses: counter(sessions, "verdict_misses")?,
+            semantics_hits: sessions.u64_field("semantics_hits")?,
+            semantics_misses: sessions.u64_field("semantics_misses")?,
+            trivial_checks: sessions.u64_field("trivial_checks")?,
+            solver_checks: sessions.u64_field("solver_checks")?,
+            cached_checks: sessions.u64_field("cached_checks")?,
+            verdict_hits: sessions.u64_field("verdict_hits")?,
+            verdict_misses: sessions.u64_field("verdict_misses")?,
         },
-        portfolio_races: counter(value, "portfolio_races")?,
+        portfolio_races: value.u64_field("portfolio_races")?,
     })
-}
-
-fn req<'a>(value: &'a Json, key: &str) -> Result<&'a Json, String> {
-    value.get(key).ok_or_else(|| format!("missing `{key}`"))
-}
-
-fn usize_field(value: &Json, key: &str) -> Result<usize, String> {
-    req(value, key)?
-        .as_u64()
-        .map(|n| n as usize)
-        .ok_or_else(|| format!("`{key}` is not an integer"))
-}
-
-fn string_field(value: &Json, key: &str) -> Result<String, String> {
-    req(value, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("`{key}` is not a string"))
-}
-
-fn opt_string_field(value: &Json, key: &str) -> Result<Option<String>, String> {
-    match req(value, key)? {
-        Json::Null => Ok(None),
-        other => other
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| format!("`{key}` is not a string or null")),
-    }
-}
-
-fn string_array_field(value: &Json, key: &str) -> Result<Vec<String>, String> {
-    let items = req(value, key)?
-        .as_array()
-        .ok_or_else(|| format!("`{key}` is not an array"))?;
-    items
-        .iter()
-        .map(|item| {
-            item.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("`{key}` holds a non-string"))
-        })
-        .collect()
 }
 
 /// Parse one bug report from its `gauntlet-report-v1` object form — the
 /// exact inverse of [`bug_report_json`] (round-trip pinned by test).
 pub fn bug_report_from_json(value: &Json) -> Result<BugReport, String> {
-    let kind_name = string_field(value, "kind")?;
-    let kind = BugKind::from_name(&kind_name).ok_or_else(|| format!("bad kind `{kind_name}`"))?;
-    let platform_name = string_field(value, "platform")?;
-    let platform = Platform::from_display(&platform_name)
+    let kind_name = value.str_field("kind")?;
+    let kind = BugKind::from_name(kind_name).ok_or_else(|| format!("bad kind `{kind_name}`"))?;
+    let platform_name = value.str_field("platform")?;
+    let platform = Platform::from_display(platform_name)
         .ok_or_else(|| format!("bad platform `{platform_name}`"))?;
-    let area_name = string_field(value, "area")?;
+    let area_name = value.str_field("area")?;
     let area =
-        CompilerArea::from_display(&area_name).ok_or_else(|| format!("bad area `{area_name}`"))?;
-    let technique_name = string_field(value, "technique")?;
-    let technique = Technique::from_name(&technique_name)
+        CompilerArea::from_display(area_name).ok_or_else(|| format!("bad area `{area_name}`"))?;
+    let technique_name = value.str_field("technique")?;
+    let technique = Technique::from_name(technique_name)
         .ok_or_else(|| format!("bad technique `{technique_name}`"))?;
-    let reduction = match req(value, "reduction")? {
+    let reduction = match value.field("reduction")? {
         Json::Null => None,
         stats => Some(p4_reduce::ReductionStats {
-            initial_statements: usize_field(stats, "initial_statements")?,
-            final_statements: usize_field(stats, "final_statements")?,
-            initial_nodes: usize_field(stats, "initial_nodes")?,
-            final_nodes: usize_field(stats, "final_nodes")?,
-            oracle_calls: usize_field(stats, "oracle_calls")?,
-            typecheck_rejections: usize_field(stats, "typecheck_rejections")?,
-            accepted_steps: usize_field(stats, "accepted_steps")?,
-            rounds: usize_field(stats, "rounds")?,
+            initial_statements: stats.usize_field("initial_statements")?,
+            final_statements: stats.usize_field("final_statements")?,
+            initial_nodes: stats.usize_field("initial_nodes")?,
+            final_nodes: stats.usize_field("final_nodes")?,
+            oracle_calls: stats.usize_field("oracle_calls")?,
+            typecheck_rejections: stats.usize_field("typecheck_rejections")?,
+            accepted_steps: stats.usize_field("accepted_steps")?,
+            rounds: stats.usize_field("rounds")?,
         }),
     };
+    let opt_string = |key| Ok::<_, String>(value.opt_str_field(key)?.map(str::to_string));
     Ok(BugReport {
         kind,
         platform,
         area,
         technique,
-        pass: opt_string_field(value, "pass")?,
-        message: string_field(value, "message")?,
-        attributed_to: opt_string_field(value, "attributed_to")?,
-        minimized: opt_string_field(value, "minimized")?,
+        pass: opt_string("pass")?,
+        message: value.str_field("message")?.to_string(),
+        attributed_to: opt_string("attributed_to")?,
+        minimized: opt_string("minimized")?,
         reduction,
     })
 }
@@ -302,86 +208,60 @@ pub fn outcomes_from_json(value: &Json) -> Result<Vec<SeedOutcome>, String> {
     items
         .iter()
         .map(|outcome| {
-            let seed = req(outcome, "seed")?
-                .as_u64()
-                .ok_or("`seed` is not an integer")?;
-            let reports = req(outcome, "reports")?
-                .as_array()
-                .ok_or("`reports` is not an array")?
-                .iter()
-                .map(bug_report_from_json)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(SeedOutcome { seed, reports })
+            Ok(SeedOutcome {
+                seed: outcome.u64_field("seed")?,
+                reports: outcome
+                    .array_field("reports")?
+                    .iter()
+                    .map(bug_report_from_json)
+                    .collect::<Result<Vec<_>, _>>()?,
+            })
         })
         .collect()
 }
 
 /// Parse a `coverage` block.
 pub fn coverage_from_json(value: &Json) -> Result<CoverageSummary, String> {
-    let trajectory = req(value, "rules_over_time")?
-        .as_array()
-        .ok_or("`rules_over_time` is not an array")?
+    let trajectory = value
+        .array_field("rules_over_time")?
         .iter()
-        .map(|pair| {
-            let pair = pair.as_array().ok_or("trajectory entry is not a pair")?;
-            match pair {
-                [programs, rules] => Ok((
-                    programs.as_u64().ok_or("bad trajectory count")? as usize,
-                    rules.as_u64().ok_or("bad trajectory count")? as usize,
-                )),
-                _ => Err("trajectory entry is not a pair".to_string()),
-            }
+        .map(|pair| match pair.as_array() {
+            Some([programs, rules]) => Ok((
+                programs.as_u64().ok_or("bad trajectory count")? as usize,
+                rules.as_u64().ok_or("bad trajectory count")? as usize,
+            )),
+            _ => Err("trajectory entry is not a pair".to_string()),
         })
         .collect::<Result<Vec<_>, String>>()?;
     // `pairs`/`pairs_total` are absent from pre-pair-tracking documents;
     // tolerate that instead of rejecting the whole report.
-    let pairs = match value.get("pairs") {
-        Some(_) => string_array_field(value, "pairs")?,
-        None => Vec::new(),
-    };
-    let pairs_total = match value.get("pairs_total") {
-        Some(_) => usize_field(value, "pairs_total")?,
-        None => 0,
-    };
     Ok(CoverageSummary {
-        fired: string_array_field(value, "fired")?,
-        rules_total: usize_field(value, "rules_total")?,
-        constructs_seen: usize_field(value, "constructs_seen")?,
-        corpus_size: usize_field(value, "corpus_size")?,
-        corpus_added: usize_field(value, "corpus_added")?,
+        fired: value.str_array_field("fired")?,
+        rules_total: value.usize_field("rules_total")?,
+        constructs_seen: value.usize_field("constructs_seen")?,
+        corpus_size: value.usize_field("corpus_size")?,
+        corpus_added: value.usize_field("corpus_added")?,
         rules_over_time: trajectory,
-        pairs,
-        pairs_total,
+        pairs: value.field_or_default("pairs", Json::str_array_field)?,
+        pairs_total: value.field_or_default("pairs_total", Json::usize_field)?,
     })
 }
 
 /// Parse a `diversity` block.
 pub fn diversity_from_json(value: &Json) -> Result<DiversitySummary, String> {
-    let map = req(value, "distinct_bugs")?;
-    let entries = map
-        .as_object()
-        .ok_or("`distinct_bugs` is not an object")?
-        .iter()
-        .map(|(slice, count)| {
-            count
-                .as_u64()
-                .map(|n| (slice.clone(), n as usize))
-                .ok_or_else(|| format!("`distinct_bugs.{slice}` is not an integer"))
-        })
-        .collect::<Result<BTreeMap<_, _>, String>>()?;
     Ok(DiversitySummary {
-        slices: usize_field(value, "slices")?,
-        distinct_bugs: entries,
+        slices: value.usize_field("slices")?,
+        distinct_bugs: value.counters_field("distinct_bugs")?,
     })
 }
 
 /// Parse a `mutation` block.
 pub fn mutation_from_json(value: &Json) -> Result<MutationSummary, String> {
     Ok(MutationSummary {
-        mutants_checked: usize_field(value, "mutants_checked")?,
-        divergent: usize_field(value, "divergent")?,
-        fired: string_array_field(value, "fired")?,
-        rules_total: usize_field(value, "rules_total")?,
+        mutants_checked: value.usize_field("mutants_checked")?,
+        divergent: value.usize_field("divergent")?,
+        fired: value.str_array_field("fired")?,
+        rules_total: value.usize_field("rules_total")?,
     })
 }
 
@@ -400,32 +280,27 @@ pub fn mutation_from_json(value: &Json) -> Result<MutationSummary, String> {
 /// [`deterministic_json`]: HuntReport::deterministic_json
 /// [`to_json`]: HuntReport::to_json
 pub fn hunt_result_from_json(value: &Json) -> Result<HuntReport, String> {
-    let result = match value.get("result") {
-        Some(result) => result,
-        None => value,
-    };
-    let coverage = match req(result, "coverage")? {
+    let result = value.get("result").unwrap_or(value);
+    let coverage = match result.field("coverage")? {
         Json::Null => None,
         block => Some(coverage_from_json(block)?),
     };
-    let mutation = match req(result, "mutation")? {
+    let mutation = match result.field("mutation")? {
         Json::Null => None,
         block => Some(mutation_from_json(block)?),
     };
     // Absent from pre-diversity documents; tolerate like `coverage.pairs`.
-    let diversity = match result.get("diversity") {
-        None | Some(Json::Null) => None,
-        Some(block) => Some(diversity_from_json(block)?),
-    };
-    let outcomes = outcomes_from_json(req(result, "outcomes")?)?;
-    let total_bugs = usize_field(result, "total_bugs")?;
+    let diversity = result
+        .opt_field("diversity")
+        .map(diversity_from_json)
+        .transpose()?;
     Ok(HuntReport {
-        outcomes,
-        programs_checked: usize_field(result, "programs_checked")?,
-        total_bugs,
+        outcomes: outcomes_from_json(result.field("outcomes")?)?,
+        programs_checked: result.usize_field("programs_checked")?,
+        total_bugs: result.usize_field("total_bugs")?,
         elapsed: Duration::ZERO,
         per_worker: Vec::new(),
-        reduction_failures: usize_field(result, "reduction_failures")?,
+        reduction_failures: result.usize_field("reduction_failures")?,
         coverage,
         mutation,
         diversity,
@@ -440,87 +315,70 @@ impl HuntReport {
     /// table summary, and the coverage/mutation blocks.  Byte-identical at
     /// any `--jobs` and with telemetry/cache/portfolio on or off — the
     /// machine-readable counterpart of [`HuntReport::render`].
-    pub fn deterministic_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"programs_checked\":{}", self.programs_checked));
-        out.push_str(&format!(",\"seeds_with_bugs\":{}", self.outcomes.len()));
-        out.push_str(&format!(",\"total_bugs\":{}", self.total_bugs));
-        out.push_str(&format!(
-            ",\"reduction_failures\":{}",
-            self.reduction_failures
-        ));
-        out.push_str(",\"outcomes\":[");
-        for (index, outcome) in self.outcomes.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"seed\":{},\"reports\":[", outcome.seed));
-            for (report_index, report) in outcome.reports.iter().enumerate() {
-                if report_index > 0 {
-                    out.push(',');
-                }
-                out.push_str(&bug_report_json(report));
-            }
-            out.push_str("]}");
-        }
-        out.push(']');
+    pub fn result_json(&self) -> Json {
+        let outcomes: Vec<Json> = self
+            .outcomes
+            .iter()
+            .map(|outcome| {
+                json::object([
+                    ("seed", outcome.seed.into()),
+                    (
+                        "reports",
+                        Json::Array(outcome.reports.iter().map(bug_report_json).collect()),
+                    ),
+                ])
+            })
+            .collect();
         let summary = self.campaign_summary();
-        out.push_str(&format!(
-            ",\"summary\":{{\"by_platform\":{},\"by_area\":{},\"by_attribution\":{},\"total_detected\":{}}}",
-            json_counter_map(&summary.by_platform),
-            json_counter_map(&summary.by_area),
-            json_counter_map(&summary.by_attribution),
-            summary.total_detected
-        ));
-        match &self.coverage {
-            Some(coverage) => out.push_str(&format!(",\"coverage\":{}", coverage_json(coverage))),
-            None => out.push_str(",\"coverage\":null"),
-        }
-        match &self.mutation {
-            Some(mutation) => out.push_str(&format!(",\"mutation\":{}", mutation_json(mutation))),
-            None => out.push_str(",\"mutation\":null"),
-        }
-        match &self.diversity {
-            Some(diversity) => {
-                out.push_str(&format!(",\"diversity\":{}", diversity_json(diversity)))
-            }
-            None => out.push_str(",\"diversity\":null"),
-        }
-        out.push('}');
-        out
+        json::object([
+            ("programs_checked", self.programs_checked.into()),
+            ("seeds_with_bugs", self.outcomes.len().into()),
+            ("total_bugs", self.total_bugs.into()),
+            ("reduction_failures", self.reduction_failures.into()),
+            ("outcomes", outcomes.into()),
+            (
+                "summary",
+                json::object([
+                    ("by_platform", json::counters(&summary.by_platform)),
+                    ("by_area", json::counters(&summary.by_area)),
+                    ("by_attribution", json::counters(&summary.by_attribution)),
+                    ("total_detected", summary.total_detected.into()),
+                ]),
+            ),
+            ("coverage", self.coverage.as_ref().map(coverage_json).into()),
+            ("mutation", self.mutation.as_ref().map(mutation_json).into()),
+            (
+                "diversity",
+                self.diversity.as_ref().map(diversity_json).into(),
+            ),
+        ])
+    }
+
+    /// [`HuntReport::result_json`], rendered.
+    pub fn deterministic_json(&self) -> String {
+        json::render(&self.result_json())
     }
 
     /// The full `gauntlet-report-v1` document: the deterministic `result`
     /// half plus the run-descriptive `run` half (elapsed, per-worker loads,
     /// cache counters, telemetry flight recorder).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":{},\"result\":{}",
-            json::string(REPORT_SCHEMA),
-            self.deterministic_json()
-        );
-        out.push_str(&format!(
-            ",\"run\":{{\"elapsed_us\":{}",
-            self.elapsed.as_micros()
-        ));
-        out.push_str(",\"per_worker\":[");
-        for (index, processed) in self.per_worker.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&processed.to_string());
-        }
-        out.push(']');
-        match &self.cache {
-            Some(cache) => out.push_str(&format!(",\"cache\":{}", cache_json(cache))),
-            None => out.push_str(",\"cache\":null"),
-        }
-        match &self.telemetry {
-            Some(recorder) => out.push_str(&format!(",\"telemetry\":{}", recorder.to_json())),
-            None => out.push_str(",\"telemetry\":null"),
-        }
-        out.push_str("}}");
-        out
+        json::render(&json::object([
+            ("schema", REPORT_SCHEMA.into()),
+            ("result", self.result_json()),
+            (
+                "run",
+                json::object([
+                    ("elapsed_us", (self.elapsed.as_micros() as u64).into()),
+                    ("per_worker", self.per_worker.clone().into()),
+                    ("cache", self.cache.as_ref().map(cache_json).into()),
+                    (
+                        "telemetry",
+                        self.telemetry.as_ref().map(|r| r.to_json()).into(),
+                    ),
+                ]),
+            ),
+        ]))
     }
 }
 

@@ -94,84 +94,51 @@ impl Checkpoint {
             .collect()
     }
 
+    /// The checkpoint document.  Fragment bodies are rendered in place
+    /// rather than cloned into a tree: they are most of the bytes.
     pub fn to_json(&self) -> Result<String, String> {
         let corpus = refilter_corpus(&self.fragments)?;
-        let fingerprint = corpus.fingerprint();
-        let mut out = format!(
-            "{{\"schema\":{},\"complete\":{},\"spec\":{}",
-            json::string(CHECKPOINT_SCHEMA),
-            self.complete,
-            self.spec.to_json()
-        );
-        out.push_str(",\"shards\":{\"total\":");
-        out.push_str(&self.spec.shard_count().to_string());
-        out.push_str(",\"done\":[");
-        for (index, shard) in self.fragments.keys().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&shard.to_string());
-        }
-        out.push_str("],\"remaining\":[");
-        for (index, shard) in self.remaining_shards().iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&shard.to_string());
-        }
-        out.push_str("]}");
-        out.push_str(",\"corpus\":");
-        out.push_str(&json::string(&corpus.to_text()));
-        out.push_str(",\"fingerprint\":[");
-        for (index, rule) in fingerprint.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&json::string(rule));
-        }
-        out.push(']');
-        out.push_str(",\"triage\":");
-        out.push_str(&self.triage.to_json());
-        out.push_str(",\"fragments\":{");
-        for (index, (shard, body)) in self.fragments.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&json::string(&shard.to_string()));
-            out.push(':');
-            out.push_str(&json::render(body));
-        }
-        out.push_str("}}");
-        Ok(out)
+        let shards = json::object([
+            ("total", self.spec.shard_count().into()),
+            (
+                "done",
+                self.fragments.keys().copied().collect::<Vec<_>>().into(),
+            ),
+            ("remaining", self.remaining_shards().into()),
+        ]);
+        Ok(json::render_object(|doc| {
+            doc.field("schema", &CHECKPOINT_SCHEMA.into())
+                .field("complete", &self.complete.into())
+                .field("spec", &self.spec.to_json())
+                .field("shards", &shards)
+                .field("corpus", &corpus.to_text().into())
+                .field("fingerprint", &corpus.fingerprint().into())
+                .field("triage", &self.triage.to_json())
+                .object("fragments", |fragments| {
+                    for (shard, body) in &self.fragments {
+                        fragments.field(&shard.to_string(), body);
+                    }
+                });
+        }))
     }
 
     pub fn from_json(value: &Json) -> Result<Checkpoint, String> {
-        match value.get("schema").and_then(|s| s.as_str()) {
-            Some(CHECKPOINT_SCHEMA) => {}
-            other => return Err(format!("not a checkpoint: schema {other:?}")),
+        let schema = value.str_field("schema")?;
+        if schema != CHECKPOINT_SCHEMA {
+            return Err(format!("not a checkpoint: schema `{schema}`"));
         }
-        let spec = FleetSpec::from_json(value.get("spec").ok_or("checkpoint without `spec`")?)?;
         let mut fragments = BTreeMap::new();
-        for (shard, body) in value
-            .get("fragments")
-            .and_then(|f| f.as_object())
-            .ok_or("checkpoint without `fragments`")?
-        {
+        for (shard, body) in value.object_field("fragments")? {
             let shard: usize = shard
                 .parse()
                 .map_err(|_| format!("bad fragment shard key `{shard}`"))?;
             fragments.insert(shard, body.clone());
         }
         Ok(Checkpoint {
-            spec,
+            spec: FleetSpec::from_json(value.field("spec")?)?,
             fragments,
-            triage: TriageStore::from_json(
-                value.get("triage").ok_or("checkpoint without `triage`")?,
-            )?,
-            complete: value
-                .get("complete")
-                .and_then(|c| c.as_bool())
-                .ok_or("checkpoint without `complete`")?,
+            triage: TriageStore::from_json(value.field("triage")?)?,
+            complete: value.bool_field("complete")?,
         })
     }
 
@@ -302,6 +269,57 @@ mod tests {
         assert_eq!(back.triage.to_json(), checkpoint.triage.to_json());
         assert!(!back.complete);
         assert_eq!(back.to_json().expect("re-serializes"), bytes);
+    }
+
+    /// Seeds above 2^53 (where an `f64` starts rounding) survive every
+    /// document that carries one: the spec, as the init frame a worker
+    /// parses, a report outcome, and a triage representative.
+    #[test]
+    fn seeds_above_two_to_the_53_round_trip_exactly() {
+        use crate::protocol::ToWorker;
+        use gauntlet_core::{hunt_result_from_json, HuntReport, SeedOutcome};
+
+        let seed = (1u64 << 53) + 1;
+        let spec = FleetSpec {
+            seed_start: seed,
+            ..FleetSpec::default()
+        };
+        let frame = ToWorker::Init {
+            spec: spec.to_json(),
+        }
+        .to_body();
+        let ToWorker::Init { spec: value } = ToWorker::from_body(&frame).expect("frame parses")
+        else {
+            panic!("an init frame reads back as init");
+        };
+        assert_eq!(FleetSpec::from_json(&value).unwrap().seed_start, seed);
+
+        let bug = sample().triage.entries().next().unwrap().report.clone();
+        let report = HuntReport {
+            outcomes: vec![SeedOutcome {
+                seed,
+                reports: vec![bug.clone()],
+            }],
+            programs_checked: 1,
+            total_bugs: 1,
+            elapsed: std::time::Duration::ZERO,
+            per_worker: Vec::new(),
+            reduction_failures: 0,
+            coverage: None,
+            mutation: None,
+            diversity: None,
+            cache: None,
+            telemetry: None,
+        };
+        let back = hunt_result_from_json(&json::parse(&report.to_json()).unwrap()).unwrap();
+        assert_eq!(back.outcomes[0].seed, seed);
+        assert!(report.to_json().contains("\"seed\":9007199254740993"));
+
+        let mut triage = TriageStore::new();
+        triage.record("worker-0", seed, 0, &bug);
+        let text = json::render(&triage.to_json());
+        let back = TriageStore::from_json(&json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.entries().next().unwrap().first_seed, seed);
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl Coordinator {
             ),
             None => None,
         };
-        let spec_json = json::parse(&options.spec.to_json())?;
+        let spec_json = options.spec.to_json();
         let arrival: Vec<usize> = fragments.keys().copied().collect();
         let (tx, rx) = mpsc::channel();
         let stats = FleetStats {
@@ -213,7 +213,7 @@ impl Coordinator {
         })
     }
 
-    fn emit(&self, event: &str, fields: &[(&str, String)]) {
+    fn emit(&self, event: &str, fields: &[(&str, Json)]) {
         if let Some(log) = &self.events {
             log.emit(event, fields);
         }
@@ -328,10 +328,10 @@ impl Coordinator {
         self.emit(
             "shard_assign",
             &[
-                ("shard", shard.to_string()),
-                ("slot", slot.to_string()),
-                ("offset", offset.to_string()),
-                ("count", count.to_string()),
+                ("shard", shard.into()),
+                ("slot", slot.into()),
+                ("offset", offset.into()),
+                ("count", count.into()),
             ],
         );
     }
@@ -384,9 +384,9 @@ impl Coordinator {
         self.emit(
             "shard_done",
             &[
-                ("shard", shard.to_string()),
-                ("slot", slot.to_string()),
-                ("bugs", partial.total_bugs.to_string()),
+                ("shard", shard.into()),
+                ("slot", slot.into()),
+                ("bugs", partial.total_bugs.into()),
             ],
         );
 
@@ -428,7 +428,7 @@ impl Coordinator {
         }
         state.stdin = None;
         self.stats.worker_deaths += 1;
-        self.emit("worker_exit", &[("slot", slot.to_string())]);
+        self.emit("worker_exit", &[("slot", slot.into())]);
         if let Some((shard, _)) = self.slots[slot].lease.take() {
             self.queue.push_front(shard);
             self.stats.leases_reassigned += 1;
@@ -437,7 +437,7 @@ impl Coordinator {
             ));
             self.emit(
                 "shard_reassign",
-                &[("shard", shard.to_string()), ("slot", slot.to_string())],
+                &[("shard", shard.into()), ("slot", slot.into())],
             );
         }
         if !self.queue.is_empty() {
@@ -483,7 +483,7 @@ impl Coordinator {
             // the coordinator's own events use `slot` — mixing the two
             // clocks under one stream key would break monotonicity.
             if let Json::Object(mut fields) = payload {
-                fields.push(("worker".to_string(), Json::Number(slot as f64)));
+                fields.push(("worker".to_string(), slot.into()));
                 log.emit_raw(&json::render(&Json::Object(fields)));
             }
         }
@@ -516,21 +516,26 @@ impl Coordinator {
         let Some(path) = self.options.spec.checkpoint.clone() else {
             return Ok(());
         };
+        // Lend the fragments and triage to the checkpoint rather than
+        // cloning them: the fragments are the whole campaign's results.
         let checkpoint = Checkpoint {
             spec: self.options.spec.clone(),
-            fragments: self.fragments.clone(),
-            triage: self.triage.clone(),
+            fragments: std::mem::take(&mut self.fragments),
+            triage: std::mem::take(&mut self.triage),
             complete,
         };
-        checkpoint.save(&path)?;
+        let saved = checkpoint.save(&path);
+        self.fragments = checkpoint.fragments;
+        self.triage = checkpoint.triage;
+        saved?;
         self.stats.checkpoints_written += 1;
         self.since_checkpoint = 0;
         self.emit(
             "checkpoint",
             &[
-                ("path", json::string(&path)),
-                ("shards_done", self.fragments.len().to_string()),
-                ("complete", complete.to_string()),
+                ("path", path.as_str().into()),
+                ("shards_done", self.fragments.len().into()),
+                ("complete", complete.into()),
             ],
         );
         Ok(())
@@ -568,8 +573,8 @@ impl Coordinator {
         self.emit(
             "fleet_end",
             &[
-                ("complete", "false".to_string()),
-                ("shards_done", self.fragments.len().to_string()),
+                ("complete", false.into()),
+                ("shards_done", self.fragments.len().into()),
             ],
         );
         Ok(FleetOutcome {
@@ -585,10 +590,10 @@ impl Coordinator {
         self.emit(
             "fleet_start",
             &[
-                ("workers", self.options.spec.workers.to_string()),
-                ("shards", self.stats.shards_total.to_string()),
-                ("seeds", self.options.spec.seed_count.to_string()),
-                ("mode", json::string(self.options.spec.mode.as_str())),
+                ("workers", self.options.spec.workers.into()),
+                ("shards", self.stats.shards_total.into()),
+                ("seeds", self.options.spec.seed_count.into()),
+                ("mode", self.options.spec.mode.as_str().into()),
             ],
         );
         let initial = self.options.spec.workers.min(self.queue.len()).max(1);
@@ -623,7 +628,7 @@ impl Coordinator {
                         Incoming::Frame(FromWorker::Hello { pid }) => {
                             self.emit(
                                 "worker_spawn",
-                                &[("slot", slot.to_string()), ("pid", pid.to_string())],
+                                &[("slot", slot.into()), ("pid", pid.into())],
                             );
                         }
                         Incoming::Frame(FromWorker::Event { payload }) => {
@@ -675,9 +680,9 @@ impl Coordinator {
         self.emit(
             "fleet_end",
             &[
-                ("complete", "true".to_string()),
-                ("bugs", report.total_bugs.to_string()),
-                ("distinct", self.triage.len().to_string()),
+                ("complete", true.into()),
+                ("bugs", report.total_bugs.into()),
+                ("distinct", self.triage.len().into()),
             ],
         );
         self.progress.note(&format!(

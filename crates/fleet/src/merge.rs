@@ -40,112 +40,52 @@ use std::time::Duration;
 /// cache block is run-descriptive, like `elapsed`: the merged report and
 /// corpus stay byte-identical whether or not any fragment carries one.
 pub fn fragment_body(
-    result_json: &str,
+    result: Json,
     coverage: Option<(&Corpus, &[String])>,
     cache: Option<&CacheSummary>,
-) -> String {
-    let mut body = format!("{{\"result\":{result_json}");
+) -> Json {
+    let mut body = vec![("result", result)];
     if let Some(cache) = cache {
-        body.push_str(",\"cache\":");
-        body.push_str(&cache_json(cache));
+        body.push(("cache", cache_json(cache)));
     }
     if let Some((corpus, census)) = coverage {
-        body.push_str(",\"corpus\":[");
-        for (index, entry) in corpus.entries.iter().enumerate() {
-            if index > 0 {
-                body.push(',');
-            }
-            let mut rules = String::from("[");
-            for (rule_index, rule) in entry.rules.iter().enumerate() {
-                if rule_index > 0 {
-                    rules.push(',');
-                }
-                rules.push_str(&json::string(rule));
-            }
-            rules.push(']');
-            let mut pairs = String::from("[");
-            for (pair_index, pair) in entry.pairs.iter().enumerate() {
-                if pair_index > 0 {
-                    pairs.push(',');
-                }
-                pairs.push_str(&json::string(pair));
-            }
-            pairs.push(']');
-            body.push_str(&format!(
-                "{{\"seed\":{},\"rules\":{},\"pairs\":{},\"source\":{}}}",
-                entry.seed,
-                rules,
-                pairs,
-                json::string(&entry.source)
-            ));
-        }
-        body.push_str("],\"census\":[");
-        for (index, key) in census.iter().enumerate() {
-            if index > 0 {
-                body.push(',');
-            }
-            body.push_str(&json::string(key));
-        }
-        body.push(']');
+        let entries: Vec<Json> = corpus
+            .entries
+            .iter()
+            .map(|entry| {
+                json::object([
+                    ("seed", entry.seed.into()),
+                    ("rules", json::strings(&entry.rules)),
+                    ("pairs", json::strings(&entry.pairs)),
+                    ("source", entry.source.as_str().into()),
+                ])
+            })
+            .collect();
+        body.push(("corpus", entries.into()));
+        body.push(("census", json::strings(census)));
     }
-    body.push('}');
-    body
+    json::object(body)
 }
 
 fn fragment_corpus(body: &Json) -> Result<Vec<CorpusEntry>, String> {
-    let Some(entries) = body.get("corpus") else {
-        return Ok(Vec::new());
-    };
-    entries
-        .as_array()
-        .ok_or("fragment `corpus` is not an array")?
+    body.field_or_default("corpus", Json::array_field)?
         .iter()
         .map(|entry| {
             Ok(CorpusEntry {
-                seed: entry
-                    .get("seed")
-                    .and_then(|s| s.as_u64())
-                    .ok_or("corpus entry without `seed`")?,
-                rules: entry
-                    .get("rules")
-                    .and_then(|r| r.as_array())
-                    .ok_or("corpus entry without `rules`")?
-                    .iter()
-                    .map(|rule| {
-                        rule.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "corpus rule is not a string".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
+                seed: entry.u64_field("seed")?,
+                rules: entry.str_array_field("rules")?,
                 // Absent from pre-pair-tracking fragments: empty.
-                pairs: match entry.get("pairs") {
-                    None | Some(Json::Null) => Vec::new(),
-                    Some(pairs) => pairs
-                        .as_array()
-                        .ok_or("corpus entry `pairs` is not an array")?
-                        .iter()
-                        .map(|pair| {
-                            pair.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| "corpus pair is not a string".to_string())
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                },
-                source: entry
-                    .get("source")
-                    .and_then(|s| s.as_str())
-                    .ok_or("corpus entry without `source`")?
-                    .to_string(),
+                pairs: entry.field_or_default("pairs", Json::str_array_field)?,
+                source: entry.str_field("source")?.to_string(),
             })
         })
         .collect()
 }
 
 fn fragment_cache(body: &Json) -> Result<Option<CacheSummary>, String> {
-    match body.get("cache") {
-        None | Some(Json::Null) => Ok(None),
-        Some(value) => cache_summary_from_json(value).map(Some),
-    }
+    body.opt_field("cache")
+        .map(cache_summary_from_json)
+        .transpose()
 }
 
 /// Field-wise sum of two cache summaries (workers report per-shard deltas,
@@ -167,18 +107,7 @@ fn add_cache(total: &mut CacheSummary, part: &CacheSummary) {
 }
 
 fn fragment_census(body: &Json) -> Result<Vec<String>, String> {
-    let Some(keys) = body.get("census") else {
-        return Ok(Vec::new());
-    };
-    keys.as_array()
-        .ok_or("fragment `census` is not an array")?
-        .iter()
-        .map(|key| {
-            key.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "census key is not a string".to_string())
-        })
-        .collect()
+    body.field_or_default("census", Json::str_array_field)
 }
 
 /// Re-filter the shard-admitted candidates into the global corpus, in
@@ -426,13 +355,16 @@ mod tests {
             }],
         };
         let census = vec!["control/decl".to_string()];
-        let text = fragment_body("{\"total_bugs\":0}", Some((&corpus, &census)), None);
-        let parsed = body(&text);
+        let parsed = body(&json::render(&fragment_body(
+            body("{\"total_bugs\":0}"),
+            Some((&corpus, &census)),
+            None,
+        )));
         assert_eq!(fragment_corpus(&parsed).unwrap(), corpus.entries);
         assert_eq!(fragment_census(&parsed).unwrap(), census);
         assert_eq!(fragment_cache(&parsed).unwrap(), None);
         // Coverage off: no envelope at all.
-        let bare = body(&fragment_body("{\"total_bugs\":0}", None, None));
+        let bare = fragment_body(body("{\"total_bugs\":0}"), None, None);
         assert!(fragment_corpus(&bare).unwrap().is_empty());
         assert!(fragment_census(&bare).unwrap().is_empty());
     }
@@ -460,7 +392,11 @@ mod tests {
             portfolio_races: 1,
         };
         // The cache block round-trips through the fragment envelope.
-        let text = fragment_body("{\"total_bugs\":0}", None, Some(&part));
+        let text = json::render(&fragment_body(
+            body("{\"total_bugs\":0}"),
+            None,
+            Some(&part),
+        ));
         assert_eq!(fragment_cache(&body(&text)).unwrap(), Some(part));
 
         let mut fragments = BTreeMap::new();
@@ -468,14 +404,14 @@ mod tests {
             0,
             body(&format!(
                 "{{{EMPTY_RESULT},\"cache\":{}}}",
-                cache_json(&part)
+                json::render(&cache_json(&part))
             )),
         );
         fragments.insert(
             1,
             body(&format!(
                 "{{{EMPTY_RESULT},\"cache\":{}}}",
-                cache_json(&part)
+                json::render(&cache_json(&part))
             )),
         );
         // A cache-less fragment (a worker run with the cache off) still

@@ -89,50 +89,42 @@ pub fn read_frame(input: &mut impl BufRead) -> std::io::Result<Option<String>> {
         .map_err(|error| std::io::Error::new(std::io::ErrorKind::InvalidData, error.to_string()))
 }
 
-fn type_of(value: &Json) -> Result<&str, String> {
-    value
-        .get("type")
-        .and_then(|t| t.as_str())
-        .ok_or_else(|| "frame without a `type`".to_string())
-}
-
 impl ToWorker {
     pub fn to_body(&self) -> String {
-        match self {
+        json::render_object(|frame| match self {
             ToWorker::Init { spec } => {
-                format!("{{\"type\":\"init\",\"spec\":{}}}", json::render(spec))
+                frame.field("type", &"init".into()).field("spec", spec);
             }
             ToWorker::Assign {
                 shard,
                 offset,
                 count,
-            } => format!(
-                "{{\"type\":\"assign\",\"shard\":{shard},\"offset\":{offset},\"count\":{count}}}"
-            ),
-            ToWorker::Stall => "{\"type\":\"stall\"}".to_string(),
-            ToWorker::Shutdown => "{\"type\":\"shutdown\"}".to_string(),
-        }
+            } => {
+                frame
+                    .field("type", &"assign".into())
+                    .field("shard", &(*shard).into())
+                    .field("offset", &(*offset).into())
+                    .field("count", &(*count).into());
+            }
+            ToWorker::Stall => {
+                frame.field("type", &"stall".into());
+            }
+            ToWorker::Shutdown => {
+                frame.field("type", &"shutdown".into());
+            }
+        })
     }
 
     pub fn from_body(body: &str) -> Result<ToWorker, String> {
         let value = json::parse(body)?;
-        match type_of(&value)? {
+        match value.str_field("type")? {
             "init" => Ok(ToWorker::Init {
-                spec: value.get("spec").cloned().ok_or("init without `spec`")?,
+                spec: value.field("spec")?.clone(),
             }),
             "assign" => Ok(ToWorker::Assign {
-                shard: value
-                    .get("shard")
-                    .and_then(|s| s.as_u64())
-                    .ok_or("assign without `shard`")? as usize,
-                offset: value
-                    .get("offset")
-                    .and_then(|o| o.as_u64())
-                    .ok_or("assign without `offset`")?,
-                count: value
-                    .get("count")
-                    .and_then(|c| c.as_u64())
-                    .ok_or("assign without `count`")? as usize,
+                shard: value.usize_field("shard")?,
+                offset: value.u64_field("offset")?,
+                count: value.usize_field("count")?,
             }),
             "stall" => Ok(ToWorker::Stall),
             "shutdown" => Ok(ToWorker::Shutdown),
@@ -143,45 +135,38 @@ impl ToWorker {
 
 impl FromWorker {
     pub fn to_body(&self) -> String {
-        match self {
-            FromWorker::Hello { pid } => format!("{{\"type\":\"hello\",\"pid\":{pid}}}"),
-            FromWorker::Event { payload } => {
-                format!(
-                    "{{\"type\":\"event\",\"payload\":{}}}",
-                    json::render(payload)
-                )
+        json::render_object(|frame| match self {
+            FromWorker::Hello { pid } => {
+                frame
+                    .field("type", &"hello".into())
+                    .field("pid", &(*pid).into());
             }
-            FromWorker::Fragment { shard, body } => format!(
-                "{{\"type\":\"fragment\",\"shard\":{shard},\"body\":{}}}",
-                json::render(body)
-            ),
-        }
+            FromWorker::Event { payload } => {
+                frame
+                    .field("type", &"event".into())
+                    .field("payload", payload);
+            }
+            FromWorker::Fragment { shard, body } => {
+                frame
+                    .field("type", &"fragment".into())
+                    .field("shard", &(*shard).into())
+                    .field("body", body);
+            }
+        })
     }
 
     pub fn from_body(body: &str) -> Result<FromWorker, String> {
         let value = json::parse(body)?;
-        match type_of(&value)? {
+        match value.str_field("type")? {
             "hello" => Ok(FromWorker::Hello {
-                pid: value
-                    .get("pid")
-                    .and_then(|p| p.as_u64())
-                    .ok_or("hello without `pid`")?,
+                pid: value.u64_field("pid")?,
             }),
             "event" => Ok(FromWorker::Event {
-                payload: value
-                    .get("payload")
-                    .cloned()
-                    .ok_or("event without `payload`")?,
+                payload: value.field("payload")?.clone(),
             }),
             "fragment" => Ok(FromWorker::Fragment {
-                shard: value
-                    .get("shard")
-                    .and_then(|s| s.as_u64())
-                    .ok_or("fragment without `shard`")? as usize,
-                body: value
-                    .get("body")
-                    .cloned()
-                    .ok_or("fragment without `body`")?,
+                shard: value.usize_field("shard")?,
+                body: value.field("body")?.clone(),
             }),
             other => Err(format!("unknown worker frame `{other}`")),
         }

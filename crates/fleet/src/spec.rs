@@ -230,106 +230,51 @@ impl FleetSpec {
         })
     }
 
-    pub fn to_json(&self) -> String {
-        let mut targets = String::from("[");
-        for (index, target) in self.targets.iter().enumerate() {
-            if index > 0 {
-                targets.push(',');
-            }
-            targets.push_str(&json::string(target));
-        }
-        targets.push(']');
-        format!(
-            "{{\"workers\":{},\"jobs_per_worker\":{},\"seed_start\":{},\"seed_count\":{},\"shard_size\":{},\"compiler\":{},\"generator\":{},\"mode\":{},\"coverage\":{},\"corpus\":{},\"diversity\":{},\"mutants_per_seed\":{},\"reduce_reports\":{},\"targets\":{},\"checkpoint\":{},\"checkpoint_every\":{}}}",
-            self.workers,
-            self.jobs_per_worker,
-            self.seed_start,
-            self.seed_count,
-            self.shard_size,
-            json::string(self.compiler.as_str()),
-            json::string(&self.generator),
-            json::string(self.mode.as_str()),
-            self.coverage,
-            match &self.corpus {
-                Some(path) => json::string(path),
-                None => "null".to_string(),
-            },
-            self.diversity,
-            self.mutants_per_seed,
-            self.reduce_reports,
-            targets,
-            match &self.checkpoint {
-                Some(path) => json::string(path),
-                None => "null".to_string(),
-            },
-            self.checkpoint_every
-        )
+    pub fn to_json(&self) -> Json {
+        json::object([
+            ("workers", self.workers.into()),
+            ("jobs_per_worker", self.jobs_per_worker.into()),
+            ("seed_start", self.seed_start.into()),
+            ("seed_count", self.seed_count.into()),
+            ("shard_size", self.shard_size.into()),
+            ("compiler", self.compiler.as_str().into()),
+            ("generator", self.generator.as_str().into()),
+            ("mode", self.mode.as_str().into()),
+            ("coverage", self.coverage.into()),
+            ("corpus", self.corpus.as_deref().into()),
+            ("diversity", self.diversity.into()),
+            ("mutants_per_seed", self.mutants_per_seed.into()),
+            ("reduce_reports", self.reduce_reports.into()),
+            ("targets", json::strings(&self.targets)),
+            ("checkpoint", self.checkpoint.as_deref().into()),
+            ("checkpoint_every", self.checkpoint_every.into()),
+        ])
     }
 
     pub fn from_json(value: &Json) -> Result<FleetSpec, String> {
-        fn num(value: &Json, key: &str) -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(|n| n.as_u64())
-                .ok_or_else(|| format!("spec: `{key}` missing or not an integer"))
-        }
-        fn text(value: &Json, key: &str) -> Result<String, String> {
-            value
-                .get(key)
-                .and_then(|s| s.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("spec: `{key}` missing or not a string"))
-        }
-        fn flag(value: &Json, key: &str) -> Result<bool, String> {
-            value
-                .get(key)
-                .and_then(|b| b.as_bool())
-                .ok_or_else(|| format!("spec: `{key}` missing or not a bool"))
-        }
-        fn opt_text(value: &Json, key: &str) -> Result<Option<String>, String> {
-            match value.get(key) {
-                Some(Json::Null) | None => Ok(None),
-                Some(other) => other
-                    .as_str()
-                    .map(|s| Some(s.to_string()))
-                    .ok_or_else(|| format!("spec: `{key}` is not a string or null")),
-            }
-        }
-        let mode_name = text(value, "mode")?;
-        let targets = value
-            .get("targets")
-            .and_then(|t| t.as_array())
-            .ok_or("spec: `targets` missing or not an array")?
-            .iter()
-            .map(|t| {
-                t.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "spec: `targets` holds a non-string".to_string())
+        let read = || -> Result<FleetSpec, String> {
+            let mode = value.str_field("mode")?;
+            Ok(FleetSpec {
+                workers: value.usize_field("workers")?,
+                jobs_per_worker: value.usize_field("jobs_per_worker")?,
+                seed_start: value.u64_field("seed_start")?,
+                seed_count: value.usize_field("seed_count")?,
+                shard_size: value.usize_field("shard_size")?,
+                compiler: CompilerSpec::from_name(value.str_field("compiler")?),
+                generator: value.str_field("generator")?.to_string(),
+                mode: FleetMode::from_name(mode).ok_or_else(|| format!("unknown mode `{mode}`"))?,
+                coverage: value.bool_field("coverage")?,
+                corpus: value.opt_str_field("corpus")?.map(str::to_string),
+                // Absent from pre-diversity specs and checkpoints: default off.
+                diversity: value.field_or_default("diversity", Json::bool_field)?,
+                mutants_per_seed: value.usize_field("mutants_per_seed")?,
+                reduce_reports: value.bool_field("reduce_reports")?,
+                targets: value.str_array_field("targets")?,
+                checkpoint: value.opt_str_field("checkpoint")?.map(str::to_string),
+                checkpoint_every: value.usize_field("checkpoint_every")?,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(FleetSpec {
-            workers: num(value, "workers")? as usize,
-            jobs_per_worker: num(value, "jobs_per_worker")? as usize,
-            seed_start: num(value, "seed_start")?,
-            seed_count: num(value, "seed_count")? as usize,
-            shard_size: num(value, "shard_size")? as usize,
-            compiler: CompilerSpec::from_name(&text(value, "compiler")?),
-            generator: text(value, "generator")?,
-            mode: FleetMode::from_name(&mode_name)
-                .ok_or_else(|| format!("spec: unknown mode `{mode_name}`"))?,
-            coverage: flag(value, "coverage")?,
-            corpus: opt_text(value, "corpus")?,
-            // Absent from pre-diversity specs and checkpoints: default off.
-            diversity: match value.get("diversity") {
-                Some(Json::Null) | None => false,
-                Some(_) => flag(value, "diversity")?,
-            },
-            mutants_per_seed: num(value, "mutants_per_seed")? as usize,
-            reduce_reports: flag(value, "reduce_reports")?,
-            targets,
-            checkpoint: opt_text(value, "checkpoint")?,
-            checkpoint_every: num(value, "checkpoint_every")? as usize,
-        })
+        };
+        read().map_err(|error| format!("spec: {error}"))
     }
 }
 
@@ -354,7 +299,7 @@ mod tests {
             checkpoint: Some("fleet.ckpt".into()),
             ..FleetSpec::default()
         };
-        let parsed = json::parse(&spec.to_json()).expect("spec JSON parses");
+        let parsed = json::parse(&json::render(&spec.to_json())).expect("spec JSON parses");
         assert_eq!(FleetSpec::from_json(&parsed).expect("reconstructs"), spec);
     }
 
@@ -383,7 +328,7 @@ mod tests {
     #[test]
     fn legacy_specs_without_the_diversity_key_still_load() {
         let spec = FleetSpec::default();
-        let mut text = spec.to_json();
+        let mut text = json::render(&spec.to_json());
         let needle = "\"diversity\":false,";
         let at = text.find(needle).expect("serialized diversity key");
         text.replace_range(at..at + needle.len(), "");

@@ -46,7 +46,9 @@ fn precedes(seed: u64, index: u64, report: &BugReport, entry: &TriageEntry) -> b
     match (seed, index).cmp(&(entry.first_seed, entry.first_index)) {
         std::cmp::Ordering::Less => true,
         std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => bug_report_json(report) < bug_report_json(&entry.report),
+        std::cmp::Ordering::Equal => {
+            json::render(&bug_report_json(report)) < json::render(&bug_report_json(&entry.report))
+        }
     }
 }
 
@@ -139,80 +141,47 @@ impl TriageStore {
         }
     }
 
-    /// Serialize as one `gauntlet-triage-v1` document.  Entries are in key
+    /// The store as one `gauntlet-triage-v1` document.  Entries are in key
     /// order and reports use the `gauntlet-report-v1` layout, so equal
     /// stores serialize byte-identically.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":{},\"distinct\":{},\"occurrences\":{},\"bugs\":[",
-            json::string(TRIAGE_SCHEMA),
-            self.len(),
-            self.occurrences()
-        );
-        for (index, entry) in self.entries.values().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            let mut workers = String::from("{");
-            for (worker_index, (worker, count)) in entry.workers.iter().enumerate() {
-                if worker_index > 0 {
-                    workers.push(',');
-                }
-                workers.push_str(&format!("{}:{}", json::string(worker), count));
-            }
-            workers.push('}');
-            out.push_str(&format!(
-                "{{\"key\":{},\"count\":{},\"first_seed\":{},\"first_index\":{},\"workers\":{},\"report\":{}}}",
-                json::string(&entry.key),
-                entry.count,
-                entry.first_seed,
-                entry.first_index,
-                workers,
-                bug_report_json(&entry.report)
-            ));
-        }
-        out.push_str("]}");
-        out
+    pub fn to_json(&self) -> Json {
+        let bugs: Vec<Json> = self
+            .entries
+            .values()
+            .map(|entry| {
+                json::object([
+                    ("key", entry.key.as_str().into()),
+                    ("count", entry.count.into()),
+                    ("first_seed", entry.first_seed.into()),
+                    ("first_index", entry.first_index.into()),
+                    ("workers", json::counters(&entry.workers)),
+                    ("report", bug_report_json(&entry.report)),
+                ])
+            })
+            .collect();
+        json::object([
+            ("schema", TRIAGE_SCHEMA.into()),
+            ("distinct", self.len().into()),
+            ("occurrences", self.occurrences().into()),
+            ("bugs", bugs.into()),
+        ])
     }
 
     pub fn from_json(value: &Json) -> Result<TriageStore, String> {
-        match value.get("schema").and_then(|s| s.as_str()) {
-            Some(TRIAGE_SCHEMA) => {}
-            other => return Err(format!("not a triage store: schema {other:?}")),
+        let schema = value.str_field("schema")?;
+        if schema != TRIAGE_SCHEMA {
+            return Err(format!("not a triage store: schema `{schema}`"));
         }
         let mut store = TriageStore::new();
-        for bug in value
-            .get("bugs")
-            .and_then(|b| b.as_array())
-            .ok_or("triage: `bugs` missing or not an array")?
-        {
-            let key = bug
-                .get("key")
-                .and_then(|k| k.as_str())
-                .ok_or("triage entry without `key`")?
-                .to_string();
-            let workers = bug
-                .get("workers")
-                .and_then(|w| w.as_counter_map())
-                .ok_or("triage entry without `workers`")?;
+        for bug in value.array_field("bugs")? {
+            let key = bug.str_field("key")?.to_string();
             let entry = TriageEntry {
                 key: key.clone(),
-                count: bug
-                    .get("count")
-                    .and_then(|c| c.as_u64())
-                    .ok_or("triage entry without `count`")?,
-                first_seed: bug
-                    .get("first_seed")
-                    .and_then(|s| s.as_u64())
-                    .ok_or("triage entry without `first_seed`")?,
-                first_index: bug
-                    .get("first_index")
-                    .and_then(|i| i.as_u64())
-                    .ok_or("triage entry without `first_index`")?,
-                report: bug_report_from_json(
-                    bug.get("report").ok_or("triage entry without `report`")?,
-                )?,
-                workers,
+                count: bug.u64_field("count")?,
+                first_seed: bug.u64_field("first_seed")?,
+                first_index: bug.u64_field("first_index")?,
+                report: bug_report_from_json(bug.field("report")?)?,
+                workers: bug.counters_field("workers")?,
             };
             store.entries.insert(key, entry);
         }
@@ -307,10 +276,10 @@ mod tests {
         store.record("worker-0", 11, 0, &report("assert failed: \"quoted\""));
         store.record("worker-1", 4, 2, &report("other bug"));
         store.record("worker-1", 11, 0, &report("assert failed: \"quoted\""));
-        let bytes = store.to_json();
+        let bytes = json::render(&store.to_json());
         let parsed = json::parse(&bytes).expect("triage JSON parses");
         let back = TriageStore::from_json(&parsed).expect("reconstructs");
-        assert_eq!(back.to_json(), bytes);
+        assert_eq!(json::render(&back.to_json()), bytes);
         assert_eq!(back.len(), 2);
         assert_eq!(back.occurrences(), 3);
     }

@@ -19,6 +19,7 @@ use crate::merge::fragment_body;
 use crate::protocol::{read_frame, write_frame, FromWorker, ToWorker};
 use crate::spec::FleetSpec;
 use gauntlet_core::{CampaignCache, Corpus, ParallelCampaign, TelemetryOptions};
+use gauntlet_telemetry::json::{self, Json};
 use gauntlet_telemetry::EventLog;
 use p4_gen::RandomProgramGenerator;
 use p4_ir::ConstructCensus;
@@ -48,9 +49,12 @@ impl Write for EventFrameWriter {
             if line.is_empty() {
                 continue;
             }
-            // The line is already one rendered JSON object — embed verbatim.
-            let body = format!("{{\"type\":\"event\",\"payload\":{line}}}");
-            write_frame(&mut std::io::stdout(), &body)?;
+            let payload = json::parse(line)
+                .map_err(|error| std::io::Error::new(std::io::ErrorKind::InvalidData, error))?;
+            write_frame(
+                &mut std::io::stdout(),
+                &FromWorker::Event { payload }.to_body(),
+            )?;
         }
         Ok(buf.len())
     }
@@ -128,7 +132,7 @@ fn run_shard(
     offset: u64,
     count: usize,
     cache: &Arc<CampaignCache>,
-) -> Result<String, String> {
+) -> Result<Json, String> {
     let mut config = spec
         .hunt_config()
         .map_err(|error| format!("shard {shard}: {error}"))?
@@ -176,9 +180,8 @@ fn run_shard(
     let compiler = spec.compiler.clone();
     let report =
         ParallelCampaign::new(config).run_with_cache(move || compiler.build(), Some(cache.clone()));
-    let result_json = report.deterministic_json();
     let body = match &corpus_path {
-        None => fragment_body(&result_json, None, report.cache.as_ref()),
+        None => fragment_body(report.result_json(), None, report.cache.as_ref()),
         Some(path) => {
             // Read the admitted candidates back, dropping the scratch file
             // whether or not the read succeeds — a completed shard leaves
@@ -203,7 +206,7 @@ fn run_shard(
             }
             let census: Vec<String> = census.into_iter().collect();
             fragment_body(
-                &result_json,
+                report.result_json(),
                 Some((&corpus, &census)),
                 report.cache.as_ref(),
             )
@@ -259,7 +262,7 @@ pub fn serve() -> Result<(), String> {
                 let body = run_shard(spec, shard, offset, count, &cache)?;
                 write_frame(
                     &mut stdout.lock(),
-                    &format!("{{\"type\":\"fragment\",\"shard\":{shard},\"body\":{body}}}"),
+                    &FromWorker::Fragment { shard, body }.to_body(),
                 )
                 .map_err(|error| format!("fragment: {error}"))?;
             }
@@ -278,7 +281,6 @@ mod tests {
     use crate::merge;
     use crate::spec::FleetMode;
     use gauntlet_core::SeededBug;
-    use gauntlet_telemetry::json;
     use std::collections::BTreeMap;
 
     /// Tests below share this process's scratch dir (same pid, overlapping
@@ -314,7 +316,8 @@ mod tests {
         for shard in 0..spec.shard_count() {
             let (offset, count) = spec.shard_range(shard);
             let body = run_shard(&spec, shard, offset, count, &cache).expect("shard runs");
-            fragments.insert(shard, json::parse(&body).expect("fragment parses"));
+            let text = json::render(&body);
+            fragments.insert(shard, json::parse(&text).expect("fragment parses"));
         }
         let (merged, corpus) = merge::merge(&spec, &fragments, &[]).expect("merges");
 
@@ -359,7 +362,8 @@ mod tests {
             for shard in 0..spec.shard_count() {
                 let (offset, count) = spec.shard_range(shard);
                 let body = run_shard(&spec, shard, offset, count, cache).expect("shard runs");
-                fragments.insert(shard, json::parse(&body).expect("fragment parses"));
+                let text = json::render(&body);
+                fragments.insert(shard, json::parse(&text).expect("fragment parses"));
             }
             merge::merge(&spec, &fragments, &[]).expect("merges")
         };

@@ -97,7 +97,8 @@ proptest! {
         prop_assert_eq!(merged(&sa, &[&sb]).to_json(), merged(&sb, &[&sa]).to_json());
         // And a JSON round trip changes nothing.
         let combined = merged(&sa, &[&sb]);
-        let parsed = gauntlet_telemetry::json::parse(&combined.to_json()).unwrap();
+        let text = gauntlet_telemetry::json::render(&combined.to_json());
+        let parsed = gauntlet_telemetry::json::parse(&text).unwrap();
         prop_assert_eq!(TriageStore::from_json(&parsed).unwrap().to_json(), combined.to_json());
     }
 }

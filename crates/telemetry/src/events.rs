@@ -13,7 +13,7 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json;
+use crate::json::{self, Json};
 
 /// Schema tag carried by every event line.
 pub const EVENTS_SCHEMA: &str = "gauntlet-events-v1";
@@ -71,31 +71,23 @@ impl EventLog {
         }
     }
 
-    /// Append one event.  `fields` are `(key, value)` pairs where the value
-    /// is already rendered as JSON (use [`json::string`] / [`json::number`]
-    /// or plain integer formatting).  Errors are swallowed: telemetry must
-    /// never fail a campaign.
-    pub fn emit(&self, event: &str, fields: &[(&str, String)]) {
-        let mut tail = format!(",\"event\":{}", json::string(event));
-        for (key, value) in fields {
-            tail.push(',');
-            tail.push_str(&json::string(key));
-            tail.push(':');
-            tail.push_str(value);
-        }
-        tail.push('}');
+    /// Append one event with its `(key, value)` fields.  Errors are
+    /// swallowed: telemetry must never fail a campaign.
+    pub fn emit(&self, event: &str, fields: &[(&str, Json)]) {
         if let Ok(mut out) = self.out.lock() {
             // The timestamp is taken *under* the writer lock so that write
             // order and `ts_ms` order agree: concurrent campaign threads
             // share one log, and the event validator checks per-process
             // monotonicity.
-            let head = format!(
-                "{{\"schema\":{},\"ts_ms\":{}",
-                json::string(EVENTS_SCHEMA),
-                now_ms()
-            );
-            let _ = out.write_all(head.as_bytes());
-            let _ = out.write_all(tail.as_bytes());
+            let line = json::render_object(|line| {
+                line.field("schema", &EVENTS_SCHEMA.into())
+                    .field("ts_ms", &now_ms().into())
+                    .field("event", &event.into());
+                for (key, value) in fields {
+                    line.field(key, value);
+                }
+            });
+            let _ = out.write_all(line.as_bytes());
             let _ = out.write_all(b"\n");
             let _ = out.flush();
         }
@@ -122,14 +114,8 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("gauntlet-events-test-{}.jsonl", std::process::id()));
         let log = EventLog::create(&path).expect("create event log");
-        log.emit("campaign_start", &[("seeds", "10".to_string())]);
-        log.emit(
-            "bug",
-            &[
-                ("seed", "3".to_string()),
-                ("kind", json::string("Semantic")),
-            ],
-        );
+        log.emit("campaign_start", &[("seeds", 10u64.into())]);
+        log.emit("bug", &[("seed", 3u64.into()), ("kind", "Semantic".into())]);
         drop(log);
 
         let text = std::fs::read_to_string(&path).expect("read back");
@@ -172,7 +158,7 @@ mod tests {
 
         let shared = Shared::default();
         let log = EventLog::with_sink(Box::new(shared.clone()));
-        log.emit("fleet_start", &[("workers", "2".to_string())]);
+        log.emit("fleet_start", &[("workers", 2u64.into())]);
         log.emit_raw("{\"schema\":\"gauntlet-events-v1\",\"ts_ms\":1,\"event\":\"seed\"}");
         drop(log);
 

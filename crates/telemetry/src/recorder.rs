@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use crate::histogram::LatencyHistogram;
-use crate::json;
+use crate::json::{self, Json};
 
 /// The pipeline stages a span can be attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,52 +162,38 @@ impl Recorder {
         self.solver.merge(&other.solver);
     }
 
-    /// Render the recorder as one JSON object (stages, pass/rule counters,
-    /// solver tail), used for the `telemetry` block of
-    /// `gauntlet-report-v1`.  Key order is fixed so the output is stable.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"stages\":{");
-        let mut first = true;
-        for stage in Stage::ALL {
+    /// The recorder as one JSON object (stages, pass/rule counters, solver
+    /// tail), used for the `telemetry` block of `gauntlet-report-v1`.  Key
+    /// order is fixed so the output is stable.
+    pub fn to_json(&self) -> Json {
+        let stages = Stage::ALL.into_iter().filter_map(|stage| {
             let stats = self.stage(stage);
-            if stats.spans == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{}:{{\"spans\":{},\"total_us\":{}}}",
-                json::string(stage.name()),
-                stats.spans,
-                stats.total_us
-            ));
-        }
-        out.push_str("},\"passes\":{");
-        for (index, (pass, n)) in self.passes.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::string(pass), n));
-        }
-        out.push_str("},\"rules\":{");
-        for (index, (rule, n)) in self.rules.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::string(rule), n));
-        }
-        out.push_str(&format!(
-            "}},\"solver\":{{\"queries\":{},\"total_us\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}}}",
-            self.solver.count(),
-            self.solver.total_us(),
-            self.solver.p50_us(),
-            self.solver.p90_us(),
-            self.solver.p99_us(),
-            self.solver.max_us()
-        ));
-        out
+            (stats.spans > 0).then(|| {
+                (
+                    stage.name(),
+                    json::object([
+                        ("spans", stats.spans.into()),
+                        ("total_us", stats.total_us.into()),
+                    ]),
+                )
+            })
+        });
+        json::object([
+            ("stages", json::object(stages)),
+            ("passes", json::counters(&self.passes)),
+            ("rules", json::counters(&self.rules)),
+            (
+                "solver",
+                json::object([
+                    ("queries", self.solver.count().into()),
+                    ("total_us", self.solver.total_us().into()),
+                    ("p50_us", self.solver.p50_us().into()),
+                    ("p90_us", self.solver.p90_us().into()),
+                    ("p99_us", self.solver.p99_us().into()),
+                    ("max_us", self.solver.max_us().into()),
+                ]),
+            ),
+        ])
     }
 }
 
@@ -261,8 +247,7 @@ mod tests {
         r.count_pass("ConstantFolding");
         r.count_rule("ConstantFolding/fold_add");
         r.record_solver_query(7);
-        let json = r.to_json();
-        let parsed = crate::json::parse(&json).expect("recorder JSON parses");
+        let parsed = r.to_json();
         assert_eq!(
             parsed
                 .get("stages")

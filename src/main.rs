@@ -14,6 +14,7 @@ use gauntlet_fleet::{
     checkpoint::Checkpoint, coordinator, worker, CompilerSpec, FleetMode, FleetOptions,
     FleetOutcome, FleetSpec,
 };
+use gauntlet_telemetry::json;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -161,7 +162,7 @@ fn runtime_flag(
 
 fn finish(outcome: FleetOutcome, outputs: &OutputPaths) -> Result<(), String> {
     if let Some(path) = &outputs.triage {
-        std::fs::write(path, outcome.triage.to_json())
+        std::fs::write(path, json::render(&outcome.triage.to_json()))
             .map_err(|error| format!("cannot write triage `{path}`: {error}"))?;
     }
     match &outcome.report {
@@ -316,7 +317,7 @@ fn report(args: &[String]) -> Result<(), String> {
     };
     let text =
         std::fs::read_to_string(path).map_err(|error| format!("cannot read `{path}`: {error}"))?;
-    let value = gauntlet_telemetry::json::parse(&text)?;
+    let value = json::parse(&text)?;
     let report = gauntlet_core::hunt_result_from_json(&value)?;
     print!("{}", report.render());
     Ok(())
