@@ -57,6 +57,7 @@
 //! approximates.
 
 use gauntlet_core::{hunt_mutation_seed, MetamorphicChecker, MetamorphicOptions};
+use gauntlet_telemetry::json::{self, Json};
 use gauntlet_telemetry::ProgressSink;
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
 use p4_symbolic::{CampaignCache, SessionStats, ValidationSession};
@@ -284,16 +285,6 @@ impl Trajectory {
     }
 }
 
-fn add_stats(into: &mut SessionStats, stats: SessionStats) {
-    into.semantics_hits += stats.semantics_hits;
-    into.semantics_misses += stats.semantics_misses;
-    into.trivial_checks += stats.trivial_checks;
-    into.solver_checks += stats.solver_checks;
-    into.cached_checks += stats.cached_checks;
-    into.verdict_hits += stats.verdict_hits;
-    into.verdict_misses += stats.verdict_misses;
-}
-
 /// Validates every compiled pass chain in the campaign worker
 /// configuration — a fresh session per program attached to the shared
 /// epoch cache — timing each per-pair equivalence check.
@@ -319,7 +310,7 @@ fn validate_all(
             let _ = session.check_pair(&before.program, &after.program);
             samples.push(query_start.elapsed());
         }
-        add_stats(&mut stats, session.stats());
+        stats += session.stats();
     }
     let elapsed = start.elapsed();
     ValidateRun {
@@ -579,27 +570,23 @@ fn render_json(t: &Trajectory) -> String {
     )
 }
 
-/// Pulls `"key": <number>` out of a trajectory JSON document.  The format
-/// is our own (fixed key order, numeric scalars), so a full JSON parser is
-/// unnecessary; the first occurrence wins, which is why gated keys are
-/// top-level-unique.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// The CI gate: compares the fresh measurement against a committed
 /// baseline.  Returns human-readable failures (empty = pass).
 fn compare_against(current: &Trajectory, baseline: &str) -> Vec<String> {
-    let mut failures = Vec::new();
-    if !baseline.contains("\"schema\": \"gauntlet-trajectory-v1\"") {
+    let baseline = match json::parse(baseline) {
+        Ok(baseline) => baseline,
+        Err(error) => return vec![format!("baseline does not parse: {error}")],
+    };
+    if baseline.get("schema").and_then(Json::as_str) != Some("gauntlet-trajectory-v1") {
         return vec!["baseline schema mismatch (expected gauntlet-trajectory-v1)".into()];
     }
+    // The number at a dotted path (`"validate_cold.pairs"`), if present.
+    let baseline_number = |path: &str| {
+        path.split('.')
+            .try_fold(&baseline, |value, key| value.get(key))?
+            .as_f64()
+    };
+    let mut failures = Vec::new();
     // The telemetry invariant is a property of the current build, not a
     // baseline ratio: gate it at every workload scale.
     if current.telemetry_overhead_pct >= TELEMETRY_OVERHEAD_CEILING_PCT {
@@ -617,8 +604,8 @@ fn compare_against(current: &Trajectory, baseline: &str) -> Vec<String> {
             current.coverage_overhead_pct
         ));
     }
-    let baseline_seeds = json_number(baseline, "seeds").unwrap_or(0.0) as usize;
-    let baseline_speedup = json_number(baseline, "validate_speedup_warm_over_cold").unwrap_or(0.0);
+    let baseline_seeds = baseline_number("seeds").unwrap_or(0.0) as usize;
+    let baseline_speedup = baseline_number("validate_speedup_warm_over_cold").unwrap_or(0.0);
     if current.seeds == baseline_seeds {
         // The cross-epoch claim: revalidation after an epoch barrier must
         // stay well above cold — an absolute floor at the committed
@@ -630,7 +617,7 @@ fn compare_against(current: &Trajectory, baseline: &str) -> Vec<String> {
                 current.cross_epoch_speedup()
             ));
         }
-        if let Some(baseline_cross) = json_number(baseline, "validate_speedup_cross_epoch") {
+        if let Some(baseline_cross) = baseline_number("validate_speedup_cross_epoch") {
             let floor = baseline_cross * (1.0 - REGRESSION_TOLERANCE);
             if current.cross_epoch_speedup() < floor {
                 failures.push(format!(
@@ -657,13 +644,19 @@ fn compare_against(current: &Trajectory, baseline: &str) -> Vec<String> {
             ));
         }
         let counters: [(&str, f64); 4] = [
-            ("pairs", current.cold.stage.units as f64),
-            ("solver_checks", current.cold.stats.solver_checks as f64),
-            ("trivial_checks", current.cold.stats.trivial_checks as f64),
+            ("validate_cold.pairs", current.cold.stage.units as f64),
+            (
+                "validate_cold.solver_checks",
+                current.cold.stats.solver_checks as f64,
+            ),
+            (
+                "validate_cold.trivial_checks",
+                current.cold.stats.trivial_checks as f64,
+            ),
             ("mutants_checked", current.mutants as f64),
         ];
         for (key, value) in counters {
-            let expected = json_number(baseline, key);
+            let expected = baseline_number(key);
             if expected != Some(value) {
                 failures.push(format!(
                     "deterministic counter `{key}` drifted: measured {value}, baseline {expected:?} — regenerate the committed BENCH_pr*.json if intentional"
@@ -675,7 +668,7 @@ fn compare_against(current: &Trajectory, baseline: &str) -> Vec<String> {
         // pairs the fixed-seed compile workload fires is deterministic,
         // so any drift means the pass pipeline or the pair registry
         // changed shape.
-        if let Some(expected) = json_number(baseline, "compile_distinct_pairs") {
+        if let Some(expected) = baseline_number("compile_distinct_pairs") {
             let measured = current.compile_distinct_pairs as f64;
             if expected != measured {
                 failures.push(format!(

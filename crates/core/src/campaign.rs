@@ -161,7 +161,7 @@ fn run_bug_class(config: &CampaignConfig, bug_index: usize, bug: SeededBug) -> C
     let mut false_alarms = 0usize;
     let mut reports: Vec<BugReport> = Vec::new();
     for program in &programs {
-        let outcome = run_one(&gauntlet, bug, program);
+        let outcome = bug.detect(&gauntlet, program);
         if !outcome.is_empty() {
             detecting_programs += 1;
         }
@@ -266,13 +266,6 @@ fn summarise(database: &BugDatabase) -> CampaignReport {
         coverage: None,
         mutation: None,
     }
-}
-
-/// Runs the detection technique appropriate to the seeded bug's platform:
-/// the open-compiler pipeline for front/mid-end bugs, the registry-built
-/// target for back-end bugs.
-fn run_one(gauntlet: &Gauntlet, bug: SeededBug, program: &Program) -> Vec<BugReport> {
-    bug.detect(gauntlet, program)
 }
 
 /// Runs the same program through the *correct* pipeline; any finding is a
@@ -429,34 +422,28 @@ impl HuntConfig {
 /// Options for the flight recorder (see [`HuntConfig::telemetry`]).
 #[derive(Clone, Serialize, Deserialize)]
 pub struct TelemetryOptions {
-    /// Path of the out-of-band JSONL event log (`--events PATH`).  Every
-    /// line is one `gauntlet-events-v1` object with a wall-clock `ts_ms`;
-    /// the file is explicitly excluded from the deterministic artifacts.
-    /// `None` records spans and counters but streams no events.
-    pub events: Option<String>,
-    /// An already-open event sink, taking precedence over [`events`] when
-    /// set.  Fleet workers hand the campaign an [`EventLog`] framed over
-    /// their stdout protocol channel this way — the engine streams the same
-    /// events whether they land in a file or a pipe.
-    ///
-    /// [`events`]: TelemetryOptions::events
-    pub sink: Option<Arc<EventLog>>,
+    /// The out-of-band JSONL event log (`--events PATH`, opened with
+    /// [`EventLog::create`]; fleet workers pass a log framed over their
+    /// stdout protocol channel).  Every line is one `gauntlet-events-v1`
+    /// object with a wall-clock `ts_ms`, explicitly excluded from the
+    /// deterministic artifacts.  `None` records spans and counters but
+    /// streams no events.
+    pub events: Option<Arc<EventLog>>,
     /// Print the live progress heartbeat (seeds/sec, bugs found, cache hit
-    /// rate, ETA) to stderr.
+    /// rate, ETA) to stderr, one line every 25 committed seeds.
     pub progress: bool,
-    /// Committed seeds between heartbeat lines.
-    pub heartbeat_every: usize,
 }
+
+/// Committed seeds between progress heartbeat lines.
+const HEARTBEAT_EVERY: usize = 25;
 
 impl std::fmt::Debug for TelemetryOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Manual because `EventLog` (a mutex over an arbitrary writer) has
         // no useful `Debug` form.
         f.debug_struct("TelemetryOptions")
-            .field("events", &self.events)
-            .field("sink", &self.sink.as_ref().map(|_| "EventLog"))
+            .field("events", &self.events.as_ref().map(|_| "EventLog"))
             .field("progress", &self.progress)
-            .field("heartbeat_every", &self.heartbeat_every)
             .finish()
     }
 }
@@ -465,9 +452,7 @@ impl Default for TelemetryOptions {
     fn default() -> Self {
         TelemetryOptions {
             events: None,
-            sink: None,
             progress: true,
-            heartbeat_every: 25,
         }
     }
 }
@@ -685,6 +670,17 @@ pub struct CacheSummary {
     pub portfolio_races: u64,
 }
 
+impl CacheSummary {
+    /// Field-wise sum.  Fleet workers report per-shard deltas, so summing
+    /// over fragments gives fleet-wide totals.
+    pub fn add(&mut self, other: &CacheSummary) {
+        self.epochs += other.epochs;
+        self.stats += other.stats;
+        self.sessions += other.sessions;
+        self.portfolio_races += other.portfolio_races;
+    }
+}
+
 /// The findings one seed contributed (clean seeds are not recorded).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SeedOutcome {
@@ -695,8 +691,10 @@ pub struct SeedOutcome {
 /// The result of a [`ParallelCampaign`] run.
 ///
 /// `outcomes`, `programs_checked`, and `total_bugs` are deterministic
-/// functions of the configuration; `elapsed`, `per_worker`, and `cache`
-/// describe the particular run.
+/// functions of the configuration; `elapsed`, `per_worker`, `cache` and
+/// `telemetry` describe the particular run.  `corpus` and `census` are the
+/// coverage state the run ended with, handed back to the caller rather than
+/// rendered.
 #[derive(Debug, Clone)]
 pub struct HuntReport {
     /// Seeds whose program exposed at least one bug, in ascending seed
@@ -738,6 +736,16 @@ pub struct HuntReport {
     /// `elapsed` the whole block is excluded from [`HuntReport::render`]
     /// and from the deterministic half of the JSON report.
     pub telemetry: Option<Recorder>,
+    /// The corpus after the hunt: the loaded entries, then those this run
+    /// admitted, exactly as saved to [`CoverageOptions::corpus`] (present
+    /// iff [`HuntConfig::coverage`] was set).  Fleet workers ship it in
+    /// their fragment.  Neither rendered nor part of the JSON report; a
+    /// report read back from JSON or merged by the fleet carries none.
+    pub corpus: Option<Corpus>,
+    /// The construct census of every program the run committed or replayed
+    /// (present iff [`HuntConfig::coverage`] was set); the report renders
+    /// only its size, [`CoverageSummary::constructs_seen`].
+    pub census: Option<ConstructCensus>,
 }
 
 impl HuntReport {
@@ -838,14 +846,7 @@ struct SessionTally {
 
 impl SessionTally {
     fn add(&mut self, other: SessionTally) {
-        let (into, stats) = (&mut self.sessions, other.sessions);
-        into.semantics_hits += stats.semantics_hits;
-        into.semantics_misses += stats.semantics_misses;
-        into.trivial_checks += stats.trivial_checks;
-        into.solver_checks += stats.solver_checks;
-        into.cached_checks += stats.cached_checks;
-        into.verdict_hits += stats.verdict_hits;
-        into.verdict_misses += stats.verdict_misses;
+        self.sessions += other.sessions;
         self.portfolio_races += other.portfolio_races;
     }
 }
@@ -928,34 +929,15 @@ struct MutationAccum {
 struct HuntTelemetry {
     events: Option<Arc<EventLog>>,
     progress: ProgressSink,
-    heartbeat_every: usize,
     started: Instant,
     aggregate: Mutex<Recorder>,
 }
 
 impl HuntTelemetry {
     fn new(options: &TelemetryOptions) -> HuntTelemetry {
-        let progress = ProgressSink::new(options.progress);
-        // A pre-opened sink (fleet workers framing events over their stdout
-        // protocol channel) takes precedence over a file path.
-        let events = options.sink.clone().or_else(|| {
-            options.events.as_ref().and_then(|path| {
-                EventLog::create(path)
-                    .map(Arc::new)
-                    .map_err(|error| {
-                        // Telemetry must never fail a campaign: report the
-                        // unusable path and run without an event log.
-                        progress.note(&format!(
-                            "[gauntlet] cannot open event log `{path}`: {error}"
-                        ));
-                    })
-                    .ok()
-            })
-        });
         HuntTelemetry {
-            events,
-            progress,
-            heartbeat_every: options.heartbeat_every.max(1),
+            events: options.events.clone(),
+            progress: ProgressSink::new(options.progress),
             started: Instant::now(),
             aggregate: Mutex::new(Recorder::new()),
         }
@@ -1084,9 +1066,9 @@ impl HuntCommit {
                 }
             }
             self.record(config, committed_seed, result.reports, result.mutated);
-            if let Some(telemetry) = telemetry {
+            if let Some(telemetry) = telemetry.filter(|t| t.progress.is_enabled()) {
                 if self.programs_checked >= self.next_heartbeat {
-                    self.next_heartbeat = self.programs_checked + telemetry.heartbeat_every;
+                    self.next_heartbeat = self.programs_checked + HEARTBEAT_EVERY;
                     let elapsed = telemetry.started.elapsed().as_secs_f64();
                     let rate = if elapsed > 0.0 {
                         self.programs_checked as f64 / elapsed
@@ -1492,10 +1474,7 @@ impl ParallelCampaign {
                 rules_over_time: Vec::new(),
             }),
             mutation: config.mutation.as_ref().map(|_| MutationAccum::default()),
-            next_heartbeat: telemetry
-                .as_ref()
-                .map(|t| t.heartbeat_every)
-                .unwrap_or(usize::MAX),
+            next_heartbeat: HEARTBEAT_EVERY,
         };
         let tallies = Mutex::new(replay_corpus(
             config,
@@ -1607,24 +1586,28 @@ impl ParallelCampaign {
             fired: accum.coverage.fired_keys(),
             rules_total: p4_mutate::total_rules(),
         });
-        let coverage = state.guided.map(|guided| {
-            if let Some(path) = config.coverage.as_ref().and_then(|o| o.corpus.as_ref()) {
-                guided
-                    .corpus
-                    .save(path)
-                    .unwrap_or_else(|error| panic!("cannot save corpus `{path}`: {error}"));
+        let (coverage, corpus, census) = match state.guided {
+            None => (None, None, None),
+            Some(guided) => {
+                if let Some(path) = config.coverage.as_ref().and_then(|o| o.corpus.as_ref()) {
+                    guided
+                        .corpus
+                        .save(path)
+                        .unwrap_or_else(|error| panic!("cannot save corpus `{path}`: {error}"));
+                }
+                let coverage = CoverageSummary {
+                    fired: guided.accum.fired_keys(),
+                    rules_total: p4c::coverage::total_rules(),
+                    constructs_seen: guided.census.distinct(),
+                    corpus_size: guided.corpus.len(),
+                    corpus_added: guided.corpus_added,
+                    rules_over_time: guided.rules_over_time,
+                    pairs: guided.accum.fired_pair_keys(),
+                    pairs_total: p4c::coverage::total_pairs(),
+                };
+                (Some(coverage), Some(guided.corpus), Some(guided.census))
             }
-            CoverageSummary {
-                fired: guided.accum.fired_keys(),
-                rules_total: p4c::coverage::total_rules(),
-                constructs_seen: guided.census.distinct(),
-                corpus_size: guided.corpus.len(),
-                corpus_added: guided.corpus_added,
-                rules_over_time: guided.rules_over_time,
-                pairs: guided.accum.fired_pair_keys(),
-                pairs_total: p4c::coverage::total_pairs(),
-            }
-        });
+        };
         let cache = (config.epoch_cache || config.portfolio).then(|| {
             let tally = tallies.into_inner().expect("tally lock");
             CacheSummary {
@@ -1671,6 +1654,8 @@ impl ParallelCampaign {
             diversity: None,
             cache,
             telemetry: telemetry_summary,
+            corpus,
+            census,
         }
     }
 
@@ -1860,6 +1845,45 @@ mod tests {
         assert_eq!(sequential.render(), parallel.render());
         assert!(sequential.total_bugs >= 2);
         assert!(sequential.programs_checked <= 60);
+    }
+
+    /// A coverage-on hunt hands its corpus and census back on the report:
+    /// the corpus is byte-for-byte what it saved, and the census covers
+    /// exactly the programs of the seed range (what a fleet worker ships in
+    /// its fragment instead of re-deriving it).
+    #[test]
+    fn coverage_hunt_returns_the_saved_corpus_and_the_full_census() {
+        let path =
+            std::env::temp_dir().join(format!("gauntlet-handoff-{}.corpus", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let config = HuntConfig {
+            jobs: 2,
+            seed_start: 40,
+            seed_count: 16,
+            coverage: Some(CoverageOptions {
+                adapt: false,
+                corpus: Some(path.display().to_string()),
+                ..CoverageOptions::default()
+            }),
+            ..HuntConfig::default()
+        };
+        let report = ParallelCampaign::new(config.clone()).run(p4c::Compiler::reference);
+        let saved = std::fs::read_to_string(&path).expect("corpus saved");
+        let _ = std::fs::remove_file(&path);
+
+        let corpus = report.corpus.expect("coverage on: corpus returned");
+        assert!(
+            !corpus.is_empty(),
+            "the first programs always advance coverage"
+        );
+        assert_eq!(corpus.to_text(), saved);
+
+        let mut expected = ConstructCensus::default();
+        for seed in config.seed_start..config.seed_start + config.seed_count as u64 {
+            let program = RandomProgramGenerator::new(config.generator.clone(), seed).generate();
+            expected.merge(&ConstructCensus::of(&program));
+        }
+        assert_eq!(report.census, Some(expected));
     }
 
     /// The hunt must stay silent on the reference compiler (no false

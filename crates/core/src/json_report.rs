@@ -15,6 +15,10 @@
 //!   per-worker loads, the [`CacheSummary`], and the telemetry flight
 //!   recorder.
 //!
+//! The report's `corpus` and `census` are in neither half: the corpus has
+//! its own file format (`crate::corpus`), and fleet workers ship both in
+//! their fragment envelope.
+//!
 //! Every `render_*` table is derivable from the document: `render` needs
 //! only `result.outcomes` + the coverage/mutation blocks, and
 //! `render_table2`/`render_table3` need only `result.summary` — a property
@@ -270,9 +274,9 @@ pub fn mutation_from_json(value: &Json) -> Result<MutationSummary, String> {
 /// object or the `result` field of a full [`to_json`] document).
 ///
 /// Only the deterministic fields are recovered: `elapsed` is zero,
-/// `per_worker` is empty, and the run-descriptive `cache`/`telemetry`
-/// blocks are `None` — which is exactly what `render`, `render_table2`, and
-/// `render_table3` need.  The round trip
+/// `per_worker` is empty, and the run-side `cache`, `telemetry`, `corpus`
+/// and `census` are `None` — which is exactly what `render`,
+/// `render_table2`, and `render_table3` need.  The round trip
 /// `report.deterministic_json()` → parse → `hunt_result_from_json` →
 /// `.deterministic_json()` is byte-identical (pinned by test), which is the
 /// property the fleet merge relies on.
@@ -306,6 +310,8 @@ pub fn hunt_result_from_json(value: &Json) -> Result<HuntReport, String> {
         diversity,
         cache: None,
         telemetry: None,
+        corpus: None,
+        census: None,
     })
 }
 

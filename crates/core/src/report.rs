@@ -357,6 +357,8 @@ mod tests {
             diversity: None,
             cache: None,
             telemetry: None,
+            corpus: None,
+            census: None,
         };
         let text = render_reduction_summary(&hunt);
         assert!(text.contains("Semantic/SimplifyDefUse"), "{text}");

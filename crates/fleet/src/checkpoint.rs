@@ -310,6 +310,8 @@ mod tests {
             diversity: None,
             cache: None,
             telemetry: None,
+            corpus: None,
+            census: None,
         };
         let back = hunt_result_from_json(&json::parse(&report.to_json()).unwrap()).unwrap();
         assert_eq!(back.outcomes[0].seed, seed);

@@ -33,22 +33,19 @@ use gauntlet_telemetry::json::{self, Json};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
-/// Build one fragment body: the shard's deterministic result document plus
-/// the fleet envelope — candidate corpus entries and census keys when the
-/// campaign is coverage-guided, and the shard's cache counters (shaped like
-/// the report's `run.cache` object) when the shard ran with a cache.  The
-/// cache block is run-descriptive, like `elapsed`: the merged report and
-/// corpus stay byte-identical whether or not any fragment carries one.
-pub fn fragment_body(
-    result: Json,
-    coverage: Option<(&Corpus, &[String])>,
-    cache: Option<&CacheSummary>,
-) -> Json {
-    let mut body = vec![("result", result)];
-    if let Some(cache) = cache {
+/// Build one fragment body from a shard's report: its deterministic result
+/// document plus the fleet envelope — the shard's corpus entries and
+/// census keys when the campaign is coverage-guided, and its cache counters
+/// (shaped like the report's `run.cache` object) when the shard ran with a
+/// cache.  The cache block is run-descriptive, like `elapsed`: the merged
+/// report and corpus stay byte-identical whether or not any fragment
+/// carries one.
+pub fn fragment_body(report: &HuntReport) -> Json {
+    let mut body = vec![("result", report.result_json())];
+    if let Some(cache) = &report.cache {
         body.push(("cache", cache_json(cache)));
     }
-    if let Some((corpus, census)) = coverage {
+    if let (Some(corpus), Some(census)) = (&report.corpus, &report.census) {
         let entries: Vec<Json> = corpus
             .entries
             .iter()
@@ -61,8 +58,9 @@ pub fn fragment_body(
                 ])
             })
             .collect();
+        let keys: Vec<&str> = census.iter().map(|(key, _)| key).collect();
         body.push(("corpus", entries.into()));
-        body.push(("census", json::strings(census)));
+        body.push(("census", json::strings(&keys)));
     }
     json::object(body)
 }
@@ -86,24 +84,6 @@ fn fragment_cache(body: &Json) -> Result<Option<CacheSummary>, String> {
     body.opt_field("cache")
         .map(cache_summary_from_json)
         .transpose()
-}
-
-/// Field-wise sum of two cache summaries (workers report per-shard deltas,
-/// so summing over fragments gives fleet-wide totals).
-fn add_cache(total: &mut CacheSummary, part: &CacheSummary) {
-    total.epochs += part.epochs;
-    total.stats.semantics_hits += part.stats.semantics_hits;
-    total.stats.semantics_misses += part.stats.semantics_misses;
-    total.stats.verdict_hits += part.stats.verdict_hits;
-    total.stats.verdict_misses += part.stats.verdict_misses;
-    total.sessions.semantics_hits += part.sessions.semantics_hits;
-    total.sessions.semantics_misses += part.sessions.semantics_misses;
-    total.sessions.trivial_checks += part.sessions.trivial_checks;
-    total.sessions.solver_checks += part.sessions.solver_checks;
-    total.sessions.cached_checks += part.sessions.cached_checks;
-    total.sessions.verdict_hits += part.sessions.verdict_hits;
-    total.sessions.verdict_misses += part.sessions.verdict_misses;
-    total.portfolio_races += part.portfolio_races;
 }
 
 fn fragment_census(body: &Json) -> Result<Vec<String>, String> {
@@ -190,7 +170,7 @@ pub fn merge(
         if let Some(part) = fragment_cache(body)
             .map_err(|error| format!("fragment for shard {shard} cache: {error}"))?
         {
-            add_cache(cache.get_or_insert_with(CacheSummary::default), &part);
+            cache.get_or_insert_with(CacheSummary::default).add(&part);
         }
     }
     let corpus = if spec.coverage {
@@ -233,6 +213,8 @@ pub fn merge(
         diversity: None,
         cache,
         telemetry: None,
+        corpus: None,
+        census: None,
     };
     Ok((report, corpus))
 }
@@ -246,6 +228,11 @@ mod tests {
     }
 
     const EMPTY_RESULT: &str = "\"result\":{\"programs_checked\":0,\"seeds_with_bugs\":0,\"total_bugs\":0,\"reduction_failures\":0,\"outcomes\":[],\"summary\":{\"by_platform\":{},\"by_area\":{},\"by_attribution\":{},\"total_detected\":0},\"coverage\":null,\"mutation\":null}";
+
+    /// A report with no findings and every optional block absent.
+    fn empty_report() -> HuntReport {
+        hunt_result_from_json(&body(&format!("{{{EMPTY_RESULT}}}"))).expect("result parses")
+    }
 
     fn corpus_fragment(entries: &[(u64, &[&str], &[&str])]) -> Json {
         let mut text = format!("{{{EMPTY_RESULT},\"corpus\":[");
@@ -354,17 +341,20 @@ mod tests {
                 source: "control c() { apply { } }\n".into(),
             }],
         };
-        let census = vec!["control/decl".to_string()];
-        let parsed = body(&json::render(&fragment_body(
-            body("{\"total_bugs\":0}"),
-            Some((&corpus, &census)),
-            None,
-        )));
+        let census = p4_ir::ConstructCensus::of(&p4_ir::builder::trivial_program());
+        let keys: Vec<String> = census.iter().map(|(key, _)| key.to_string()).collect();
+        assert!(!keys.is_empty());
+        let report = HuntReport {
+            corpus: Some(corpus.clone()),
+            census: Some(census),
+            ..empty_report()
+        };
+        let parsed = body(&json::render(&fragment_body(&report)));
         assert_eq!(fragment_corpus(&parsed).unwrap(), corpus.entries);
-        assert_eq!(fragment_census(&parsed).unwrap(), census);
+        assert_eq!(fragment_census(&parsed).unwrap(), keys);
         assert_eq!(fragment_cache(&parsed).unwrap(), None);
         // Coverage off: no envelope at all.
-        let bare = fragment_body(body("{\"total_bugs\":0}"), None, None);
+        let bare = fragment_body(&empty_report());
         assert!(fragment_corpus(&bare).unwrap().is_empty());
         assert!(fragment_census(&bare).unwrap().is_empty());
     }
@@ -392,11 +382,11 @@ mod tests {
             portfolio_races: 1,
         };
         // The cache block round-trips through the fragment envelope.
-        let text = json::render(&fragment_body(
-            body("{\"total_bugs\":0}"),
-            None,
-            Some(&part),
-        ));
+        let report = HuntReport {
+            cache: Some(part),
+            ..empty_report()
+        };
+        let text = json::render(&fragment_body(&report));
         assert_eq!(fragment_cache(&body(&text)).unwrap(), Some(part));
 
         let mut fragments = BTreeMap::new();

@@ -1,5 +1,4 @@
-//! The worker process: a stateless shard executor behind the frame
-//! protocol.
+//! The worker process: a shard executor behind the frame protocol.
 //!
 //! `gauntlet fleet-worker` calls [`serve`], which speaks frames on
 //! stdin/stdout: `init` delivers the [`FleetSpec`], each `assign` runs one
@@ -9,23 +8,24 @@
 //! status and crash forensics depend on that), via an [`EventLog`] sink
 //! that reframes each JSONL line onto stdout.
 //!
-//! Statelessness is the crash-tolerance story: a worker owns nothing but
-//! its current lease, so the coordinator recovers from a dead worker by
-//! re-assigning the shard — no worker-side journal, no partial-shard
-//! resume.  Shards are small (the lease granularity) precisely so that
-//! re-running one is cheap.
+//! A worker holds two things: its current lease and a warm
+//! [`CampaignCache`].  It writes nothing to disk.  The fragment is built
+//! from the shard's [`HuntReport`](gauntlet_core::HuntReport), which
+//! carries the corpus and construct census the campaign accumulated, so a
+//! shard's results leave only through its fragment frame.  That is the
+//! crash-tolerance story: the coordinator recovers from a dead worker by
+//! re-assigning the shard, with no worker-side journal, partial-shard
+//! resume or scratch files to clean up.  The cache only memoises, so a
+//! re-run is byte-identical however warm it is.  Shards are small (the
+//! lease granularity) precisely so that re-running one is cheap.
 
 use crate::merge::fragment_body;
 use crate::protocol::{read_frame, write_frame, FromWorker, ToWorker};
 use crate::spec::FleetSpec;
-use gauntlet_core::{CampaignCache, Corpus, ParallelCampaign, TelemetryOptions};
+use gauntlet_core::{CampaignCache, ParallelCampaign, TelemetryOptions};
 use gauntlet_telemetry::json::{self, Json};
 use gauntlet_telemetry::EventLog;
-use p4_gen::RandomProgramGenerator;
-use p4_ir::ConstructCensus;
-use std::collections::BTreeSet;
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// An [`EventLog`] sink that turns each complete JSONL line into one
@@ -64,62 +64,6 @@ impl Write for EventFrameWriter {
     }
 }
 
-/// This worker process's scratch directory.  Everything a worker writes to
-/// disk lives under one per-pid directory so that (a) concurrent workers
-/// never collide and (b) a crashed worker's leftovers are identifiable —
-/// [`sweep_stale_worker_dirs`] removes directories whose owning pid is
-/// gone.
-fn worker_temp_dir() -> PathBuf {
-    std::env::temp_dir().join(format!("gauntlet-fleet-worker-{}", std::process::id()))
-}
-
-/// The worker's scratch corpus path for one shard.  Campaigns persist their
-/// corpus through a file path, so the worker lends each shard a throwaway
-/// file in its scratch directory and reads the admitted candidates back out
-/// of it.  The file is removed when the shard completes (success or error);
-/// anything a crash leaves behind falls to the startup sweep.
-fn shard_corpus_path(shard: usize) -> PathBuf {
-    worker_temp_dir().join(format!("shard-{shard}.corpus"))
-}
-
-#[cfg(target_os = "linux")]
-fn process_is_alive(pid: u32) -> bool {
-    std::path::Path::new("/proc").join(pid.to_string()).exists()
-}
-
-/// Without procfs there is no cheap liveness probe; keep stale directories
-/// rather than risk deleting a live worker's scratch space.
-#[cfg(not(target_os = "linux"))]
-fn process_is_alive(_pid: u32) -> bool {
-    true
-}
-
-/// Remove scratch directories abandoned by dead workers.  Runs once at
-/// worker startup: each `gauntlet-fleet-worker-<pid>` directory in the temp
-/// dir whose pid no longer exists is swept away.  Best-effort — a sweep
-/// failure never blocks the worker.
-fn sweep_stale_worker_dirs() {
-    let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(pid_text) = name
-            .to_str()
-            .and_then(|name| name.strip_prefix("gauntlet-fleet-worker-"))
-        else {
-            continue;
-        };
-        let Ok(pid) = pid_text.parse::<u32>() else {
-            continue;
-        };
-        if pid == std::process::id() || process_is_alive(pid) {
-            continue;
-        }
-        let _ = std::fs::remove_dir_all(entry.path());
-    }
-}
-
 /// Run one shard through the worker-lifetime `cache` and build its fragment
 /// body.  The cache outlives shard assignments (it is created once per
 /// worker process in [`serve`]): interned identifiers and memoised verdicts
@@ -137,24 +81,11 @@ fn run_shard(
         .hunt_config()
         .map_err(|error| format!("shard {shard}: {error}"))?
         .shard(offset, count);
-    let corpus_path = spec.coverage.then(|| shard_corpus_path(shard));
-    if let (Some(path), Some(coverage)) = (&corpus_path, config.coverage.as_mut()) {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)
-                .map_err(|error| format!("shard {shard} scratch dir: {error}"))?;
-        }
-        // Start cold: a stale file from a previous lease of this shard
-        // would be replayed into the campaign.
-        let _ = std::fs::remove_file(path);
-        coverage.corpus = Some(path.display().to_string());
-    }
     config.telemetry = Some(TelemetryOptions {
-        events: None,
-        sink: Some(Arc::new(EventLog::with_sink(Box::new(
+        events: Some(Arc::new(EventLog::with_sink(Box::new(
             EventFrameWriter::default(),
         )))),
         progress: false,
-        heartbeat_every: usize::MAX,
     });
     if spec.diversity {
         // Swarm diversity: perturb this shard's generator towards the
@@ -176,50 +107,16 @@ fn run_shard(
             &focus,
         );
     }
-    let generator = config.generator.clone();
     let compiler = spec.compiler.clone();
     let report =
         ParallelCampaign::new(config).run_with_cache(move || compiler.build(), Some(cache.clone()));
-    let body = match &corpus_path {
-        None => fragment_body(report.result_json(), None, report.cache.as_ref()),
-        Some(path) => {
-            // Read the admitted candidates back, dropping the scratch file
-            // whether or not the read succeeds — a completed shard leaves
-            // nothing behind.
-            let loaded = Corpus::load_or_empty(path);
-            let _ = std::fs::remove_file(path);
-            let corpus = loaded.map_err(|error| format!("shard {shard} corpus: {error}"))?;
-            // The shard's construct-census keys.  The census is a pure
-            // function of the generated programs, which are a pure function
-            // of (generator config, seed) — so regenerating here observes
-            // exactly what the campaign observed, without widening the
-            // deterministic report schema.
-            let mut census: BTreeSet<String> = BTreeSet::new();
-            for index in 0..count {
-                let seed = spec.seed_start + offset + index as u64;
-                let program = RandomProgramGenerator::new(generator.clone(), seed).generate();
-                census.extend(
-                    ConstructCensus::of(&program)
-                        .iter()
-                        .map(|(key, _)| key.to_string()),
-                );
-            }
-            let census: Vec<String> = census.into_iter().collect();
-            fragment_body(
-                report.result_json(),
-                Some((&corpus, &census)),
-                report.cache.as_ref(),
-            )
-        }
-    };
-    Ok(body)
+    Ok(fragment_body(&report))
 }
 
 /// The worker main loop.  Returns an error string for protocol violations
 /// (which the binary surfaces on stderr and exits nonzero); a closed stdin
 /// is an orderly exit, mirroring coordinator death.
 pub fn serve() -> Result<(), String> {
-    sweep_stale_worker_dirs();
     let stdout = std::io::stdout();
     write_frame(
         &mut stdout.lock(),
@@ -280,12 +177,8 @@ mod tests {
     use super::*;
     use crate::merge;
     use crate::spec::FleetMode;
-    use gauntlet_core::SeededBug;
+    use gauntlet_core::{Corpus, SeededBug};
     use std::collections::BTreeMap;
-
-    /// Tests below share this process's scratch dir (same pid, overlapping
-    /// shard numbers), so they must not run concurrently.
-    static SCRATCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn seeded_spec() -> FleetSpec {
         // A compiler guaranteed to produce detections on the open-compiler
@@ -306,9 +199,6 @@ mod tests {
 
     #[test]
     fn shard_fragments_merge_to_the_single_process_report() {
-        let _scratch = SCRATCH
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let spec = seeded_spec();
         // One worker-lifetime cache across every shard, as `serve` runs.
         let cache = Arc::new(CampaignCache::new());
@@ -352,9 +242,6 @@ mod tests {
         // same shards to the same (now warm) worker must reproduce the
         // deterministic result and corpus bytes exactly, while the warm
         // pass actually hits the memo.
-        let _scratch = SCRATCH
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let spec = seeded_spec();
         let cache = Arc::new(CampaignCache::new());
         let run_all = |cache: &Arc<CampaignCache>| {
@@ -376,25 +263,6 @@ mod tests {
             warm_cache.stats.semantics_hits > 0,
             "re-assigned seeds must be served from the worker-lifetime cache"
         );
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn startup_sweep_removes_only_dead_workers_scratch_dirs() {
-        // A scratch dir owned by a pid that no longer exists is swept;
-        // this live process's own dir survives.
-        let _scratch = SCRATCH
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let dead = std::env::temp_dir().join("gauntlet-fleet-worker-4294967294");
-        std::fs::create_dir_all(dead.join("nested")).expect("create stale dir");
-        std::fs::write(dead.join("shard-0.corpus"), b"stale").expect("stale file");
-        let live = worker_temp_dir();
-        std::fs::create_dir_all(&live).expect("create live dir");
-        sweep_stale_worker_dirs();
-        assert!(!dead.exists(), "dead worker's scratch dir is swept");
-        assert!(live.exists(), "live worker's scratch dir survives");
-        let _ = std::fs::remove_dir_all(live);
     }
 
     #[test]

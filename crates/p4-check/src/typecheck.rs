@@ -42,14 +42,9 @@ impl fmt::Display for CheckError {
     }
 }
 
-/// Options controlling strictness.
+/// Options controlling a check run.
 #[derive(Debug, Clone, Default)]
 pub struct CheckOptions {
-    /// Warn (as errors) about reads of `out` parameters before any write.
-    /// Reading such values is *undefined* rather than illegal in P4-16, so
-    /// this defaults to off; Gauntlet's own semantics model them as fresh
-    /// unknowns instead.
-    pub reject_uninitialized_reads: bool,
     /// Stop checking once this many errors have been collected.  Callers
     /// that only need a yes/no verdict (the `p4-reduce` candidate gate runs
     /// the checker thousands of times per reduction) set this to 1 so a
@@ -72,7 +67,6 @@ pub fn program_well_typed(program: &Program) -> bool {
         program,
         &CheckOptions {
             error_limit: Some(1),
-            ..CheckOptions::default()
         },
     )
     .is_empty()
@@ -742,7 +736,6 @@ impl<'a> Checker<'a> {
             }
             _ => {}
         }
-        let _ = self.options.reject_uninitialized_reads;
     }
 
     /// Checks that `expr` is compatible with `expected`.

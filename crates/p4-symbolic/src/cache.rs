@@ -58,6 +58,7 @@
 //! concurrently but lost the insert — count their lookup as a hit, because
 //! the cache did serve the canonical entry they return.
 
+use crate::equivalence::SessionStats;
 use crate::interpreter::{interpret_program, InterpError, ProgramSemantics};
 use p4_ir::{Interner, Program};
 use smt::{Model, TermManager};
@@ -103,6 +104,31 @@ impl CacheStats {
             verdict_hits: self.verdict_hits - earlier.verdict_hits,
             verdict_misses: self.verdict_misses - earlier.verdict_misses,
         }
+    }
+}
+
+/// Counter-wise sum: the inverse of [`CacheStats::since`], used to total
+/// per-run deltas (fleet fragments, epochs) into one figure.
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, other: CacheStats) {
+        self.semantics_hits += other.semantics_hits;
+        self.semantics_misses += other.semantics_misses;
+        self.verdict_hits += other.verdict_hits;
+        self.verdict_misses += other.verdict_misses;
+    }
+}
+
+/// Counter-wise sum of two sessions' tallies (the pool-wide figure a
+/// campaign reports is the sum over every session it ran).
+impl std::ops::AddAssign for SessionStats {
+    fn add_assign(&mut self, other: SessionStats) {
+        self.semantics_hits += other.semantics_hits;
+        self.semantics_misses += other.semantics_misses;
+        self.trivial_checks += other.trivial_checks;
+        self.solver_checks += other.solver_checks;
+        self.cached_checks += other.cached_checks;
+        self.verdict_hits += other.verdict_hits;
+        self.verdict_misses += other.verdict_misses;
     }
 }
 

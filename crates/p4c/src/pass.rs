@@ -89,15 +89,12 @@ pub struct CompileOptions {
     /// Whether to capture a snapshot after every modifying pass
     /// (the `p4test --top4` behaviour Gauntlet depends on).
     pub emit_snapshots: bool,
-    /// Run the reference type checker on the input before any pass.
-    pub type_check_input: bool,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
             emit_snapshots: true,
-            type_check_input: true,
         }
     }
 }
@@ -210,14 +207,12 @@ impl Compiler {
     }
 
     fn compile_inner(&self, program: &Program) -> Result<CompileResult, CompileError> {
-        if self.options.type_check_input {
-            let errors = p4_check::check_program(program);
-            if !errors.is_empty() {
-                return Err(CompileError::Rejected {
-                    pass: "TypeChecking".into(),
-                    diagnostics: errors.iter().map(|e| e.to_string()).collect(),
-                });
-            }
+        let errors = p4_check::check_program(program);
+        if !errors.is_empty() {
+            return Err(CompileError::Rejected {
+                pass: "TypeChecking".into(),
+                diagnostics: errors.iter().map(|e| e.to_string()).collect(),
+            });
         }
 
         let mut current = program.clone();

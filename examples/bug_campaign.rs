@@ -37,7 +37,8 @@ use gauntlet_core::{
     render_detection_matrix, render_table2, render_table3, run_campaign, CampaignConfig,
     CoverageOptions, HuntConfig, MetamorphicOptions, ParallelCampaign, SeededBug, TelemetryOptions,
 };
-use gauntlet_telemetry::ProgressSink;
+use gauntlet_telemetry::{EventLog, ProgressSink};
+use std::sync::Arc;
 
 fn parse_flag(name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
@@ -75,22 +76,30 @@ fn main() {
     let epoch_cache = parse_flag("--cache", 1) != 0;
     let portfolio = parse_flag("--portfolio", 0) != 0;
     let quiet = has_flag("--quiet");
-    let events = parse_string_flag("--events");
     let report_path = parse_string_flag("--report");
     // All stderr narration goes through one sink so `--quiet` silences
     // everything at once; stdout (the deterministic artifact) is untouched.
     let progress = ProgressSink::new(!quiet);
-    // The main hunt gets the event log; the later hunts reuse progress-only
-    // telemetry so the JSONL file is not truncated by a second campaign.
+    // Telemetry must never fail a campaign: an unusable event-log path is
+    // noted and the hunt runs without the log.
+    let events = parse_string_flag("--events").and_then(|path| {
+        EventLog::create(&path)
+            .map_err(|error| {
+                progress.note(&format!(
+                    "[gauntlet] cannot open event log `{path}`: {error}"
+                ))
+            })
+            .ok()
+    });
+    // The main hunt gets the event log; the later hunts use progress-only
+    // telemetry so the log holds exactly one campaign.
     let hunt_telemetry = Some(TelemetryOptions {
-        events: events.clone(),
+        events: events.map(Arc::new),
         progress: !quiet,
-        ..TelemetryOptions::default()
     });
     let progress_telemetry = Some(TelemetryOptions {
         events: None,
         progress: !quiet,
-        ..TelemetryOptions::default()
     });
     let mutation = if parse_flag("--mutate", 0) != 0 {
         Some(MetamorphicOptions {

@@ -108,6 +108,8 @@ fn fixture_hunt() -> HuntReport {
         // Run-descriptive like `elapsed`: must not influence the render.
         cache: Some(gauntlet_core::CacheSummary::default()),
         telemetry: None,
+        corpus: None,
+        census: None,
     }
 }
 

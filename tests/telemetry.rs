@@ -7,9 +7,10 @@
 //! `campaign_start`/`campaign_end` events.
 
 use gauntlet_core::{CoverageOptions, HuntConfig, HuntReport, ParallelCampaign, TelemetryOptions};
-use gauntlet_telemetry::{json, Stage, EVENTS_SCHEMA};
+use gauntlet_telemetry::{json, EventLog, Stage, EVENTS_SCHEMA};
 use p4_gen::GeneratorConfig;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 mod common;
 use common::full_acceptance;
@@ -52,9 +53,8 @@ fn hunt(jobs: usize, telemetry: Option<TelemetryOptions>, corpus: &PathBuf) -> H
 /// stderr) and, optionally, an event log.
 fn quiet_telemetry(events: Option<String>) -> TelemetryOptions {
     TelemetryOptions {
-        events,
+        events: events.map(|path| Arc::new(EventLog::create(path).expect("event log opens"))),
         progress: false,
-        ..TelemetryOptions::default()
     }
 }
 
