@@ -16,6 +16,7 @@
 use crate::ast::{Field, StructDecl};
 use crate::types::{Direction, Param, Type};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The role a programmable block plays, which determines how the symbolic
 /// interpreter and the targets treat it.
@@ -218,11 +219,17 @@ impl Architecture {
 
     /// Look up an architecture by name.
     pub fn by_name(name: &str) -> Option<Architecture> {
-        match name {
-            "v1model" => Some(Architecture::v1model()),
-            "tna" => Some(Architecture::tna()),
-            _ => None,
-        }
+        Architecture::named(name).cloned()
+    }
+
+    /// The shared instance of the architecture called `name`, built once
+    /// per process, for hot paths that only read it.
+    pub fn named(name: &str) -> Option<&'static Architecture> {
+        static KNOWN: OnceLock<[Architecture; 2]> = OnceLock::new();
+        KNOWN
+            .get_or_init(|| [Architecture::v1model(), Architecture::tna()])
+            .iter()
+            .find(|architecture| architecture.name == name)
     }
 
     /// The block spec for a slot name.

@@ -43,7 +43,7 @@ impl TypeEnv {
     /// structs of its architecture.
     pub fn from_program(program: &Program) -> TypeEnv {
         let mut env = TypeEnv::default();
-        if let Some(arch) = Architecture::by_name(&program.architecture) {
+        if let Some(arch) = Architecture::named(&program.architecture) {
             for st in &arch.intrinsic_structs {
                 env.aggregates.insert(
                     st.name.clone(),

@@ -140,26 +140,30 @@ pub struct MetamorphicChecker {
 }
 
 impl MetamorphicChecker {
+    /// Turns the compiler's per-pass snapshots off: the checker reads only
+    /// the fully compiled program, never a snapshot.
     pub fn new(compiler: Compiler) -> MetamorphicChecker {
-        MetamorphicChecker {
-            compiler,
-            session: ValidationSession::new(),
-            engine: MutationEngine::standard(),
-        }
+        MetamorphicChecker::with_session(compiler, ValidationSession::new())
     }
 
     /// A checker whose validation session attaches to a shared campaign
     /// cache: campaign workers hand every checker (and every
     /// translation-validation session) the same [`p4_symbolic::CampaignCache`], so a
     /// mutant family whose compiled forms another worker already interpreted
-    /// or decided is discharged from the memo.
+    /// or decided is discharged from the memo.  Snapshots are off, as in
+    /// [`MetamorphicChecker::new`].
     pub fn with_cache(
         compiler: Compiler,
         cache: std::sync::Arc<p4_symbolic::CampaignCache>,
     ) -> MetamorphicChecker {
+        MetamorphicChecker::with_session(compiler, ValidationSession::with_cache(cache))
+    }
+
+    fn with_session(mut compiler: Compiler, session: ValidationSession) -> MetamorphicChecker {
+        compiler.options_mut().emit_snapshots = false;
         MetamorphicChecker {
             compiler,
-            session: ValidationSession::with_cache(cache),
+            session,
             engine: MutationEngine::standard(),
         }
     }

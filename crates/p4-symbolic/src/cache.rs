@@ -1,22 +1,32 @@
 //! Campaign-lifetime validation cache, shared across a campaign's worker
 //! pool and across its epochs.
 //!
-//! A [`crate::ValidationSession`] memoises semantics and reuses its solver
-//! only *within* one session.  Campaign hunts, however, validate hundreds of
-//! generated programs whose structurally-shared prefixes (the generator
-//! draws from a fixed header/metadata namespace) re-derive the same terms
-//! and re-decide the same per-block queries seed after seed — and epoch
-//! after epoch.  A [`CampaignCache`] lifts the two memoisation layers out of
-//! the session so every worker in the pool shares them for the duration of
-//! the whole campaign:
+//! Campaign hunts validate hundreds of generated programs whose pass
+//! snapshots, mutants and reduction candidates mostly repeat one another: a
+//! pass usually rewrites one control, and the generator draws from a fixed
+//! header/metadata namespace, so the same terms and the same per-block
+//! queries come back seed after seed — and epoch after epoch.  A
+//! [`CampaignCache`] holds the memoisation layers every
+//! [`crate::ValidationSession`] attached to it shares for the whole
+//! campaign:
 //!
 //! * **term manager** — one hash-consing [`TermManager`], so structurally
 //!   identical subterms built by any worker collapse to a single node and
 //!   per-block equivalence queries of duplicate shape collapse to a single
 //!   term id;
-//! * **semantics memo** — each distinct program (by structural hash, with
-//!   collision detection by equality) is symbolically interpreted once, no
-//!   matter which worker gets there first;
+//! * **semantics memo** — each programmable block is interpreted once per
+//!   distinct *block key*, no matter which program or which worker asks.
+//!   Gauntlet turns each block into its own formula (paper §5.2), and a
+//!   block's formula depends on three things only: the architecture and
+//!   slot, the control or parser bound to the slot, and the block's
+//!   *context* — every top-level declaration that is not a control or
+//!   parser (types, constants, globals, actions, functions, tables).  The
+//!   context is interned once per distinct value and shared by the block
+//!   entries through an `Arc`.  [`CampaignCache::semantics`] assembles a
+//!   [`ProgramSemantics`] from the block entries and interprets only the
+//!   blocks that miss, so a pass that rewrites `ingress` re-interprets
+//!   `ingress` alone.  Every hit compares the stored key by equality, so a
+//!   hash collision is detected instead of returning the wrong semantics;
 //! * **verdict memo** — each distinct per-block equivalence query (by
 //!   hash-consed term id) is decided once.  `Unsat` verdicts are stored
 //!   as-is; `Sat` verdicts store the *canonical* model (re-derived from the
@@ -25,42 +35,51 @@
 //!   reports stay byte-identical no matter which worker populated the cache
 //!   or in which order.
 //!
+//! Memoising blocks is sound because interpretation names every variable
+//! by its position (inputs by parameter path, undefined reads by path,
+//! table and extern unknowns by control and index): within one manager a
+//! block key always yields the same terms, whichever worker interprets it.
+//!
 //! # Bounded growth across epochs
 //!
-//! Living for the whole campaign (PR 9; previously the cache was rebuilt
-//! every epoch, throwing the warm memos away at each adaptation round)
-//! requires bounding two things:
+//! Living for the whole campaign requires bounding two things:
 //!
 //! * **memo entries** — every entry is stamped with the *generation* (epoch
 //!   index) of its last hit.  [`CampaignCache::epoch_barrier`], called
-//!   between epochs while no session is live, sweeps each memo that exceeds
-//!   its [`CacheBudget`] entry budget by evicting whole least-recently-hit
-//!   generations (never splitting a generation, so eviction is a pure
-//!   function of lookup history, which is schedule-independent);
+//!   between epochs while no session is live, sweeps each table that
+//!   exceeds its [`CacheBudget`] entry budget by evicting whole
+//!   least-recently-hit generations (never splitting a generation, so
+//!   eviction is a pure function of lookup history, which is
+//!   schedule-independent);
 //! * **the hash-cons term table** — memo eviction alone cannot shrink it
 //!   (the manager retains every distinct term ever built), so when the
-//!   number of programs *interpreted* since the last reset exceeds the
+//!   number of distinct programs looked up since the last reset exceeds the
 //!   budget, the barrier swaps in a fresh manager and clears **both** memos:
 //!   term ids restart after a swap, so id-keyed verdicts would collide, and
-//!   semantics entries hold `TermRef`s from the retired manager.
+//!   block entries hold `TermRef`s from the retired manager.
 //!
 //! The trigger for both is insertion/lookup history — never
-//! [`TermManager::term_count`], which is schedule-dependent through the
-//! fresh-variable counter — so cache contents at each barrier are identical
-//! at any `--jobs`, keeping reports byte-identical.  The name
-//! [`p4_ir::Interner`] survives resets: symbols interned in epoch 1 stay
-//! valid for the whole campaign, which is what makes the swap cheap.
+//! [`TermManager::term_count`], whose ids are assigned in schedule order —
+//! so cache contents at each barrier are identical at any `--jobs`, keeping
+//! reports byte-identical.  The name [`p4_ir::Interner`] survives resets:
+//! symbols interned in epoch 1 stay valid for the whole campaign, which is
+//! what makes the swap cheap.
 //!
-//! Counters are exact under contention: a *miss* is counted only by the
-//! thread that actually inserts the entry, so `misses` equals the number of
-//! distinct programs/queries (schedule-independent) and `hits` equals
-//! `lookups - misses`.  Racing losers — workers that interpreted or solved
-//! concurrently but lost the insert — count their lookup as a hit, because
-//! the cache did serve the canonical entry they return.
+//! Counters are exact under contention and count *programs*, not blocks:
+//! the memo keeps a small set of program keys (the context id plus the ids
+//! of the program's block entries), and a *miss* is counted only by the
+//! thread that inserts a program key, so `misses` equals the number of
+//! distinct programs (and, for verdicts, distinct queries) and `hits`
+//! equals `lookups - misses`.  Racing losers — workers that interpreted or
+//! solved concurrently but lost the insert — count their lookup as a hit,
+//! because the cache did serve the canonical entry they return.
 
 use crate::equivalence::SessionStats;
-use crate::interpreter::{interpret_program, InterpError, ProgramSemantics};
-use p4_ir::{Interner, Program};
+use crate::interpreter::{
+    bound_block, interpret_block, interpret_program, program_architecture, BlockSemantics,
+    InterpError, ProgramSemantics,
+};
+use p4_ir::{Declaration, Interner, Program, TypeEnv};
 use smt::{Model, TermManager};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -72,9 +91,10 @@ use std::sync::{Arc, Mutex};
 /// worker that shares it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Semantics lookups served from the memo.
+    /// Program semantics lookups served from the memo.
     pub semantics_hits: u64,
-    /// Distinct programs interpreted (miss counted at insert).
+    /// Distinct programs looked up (miss counted at insert), however many
+    /// of their blocks the memo already held.
     pub semantics_misses: u64,
     /// Per-block equivalence queries served from the verdict memo.
     pub verdict_hits: u64,
@@ -139,13 +159,14 @@ impl std::ops::AddAssign for SessionStats {
 /// the cache were unbounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheBudget {
-    /// Maximum retained semantics-memo entries after a barrier sweep.
+    /// Maximum retained entries of each semantics-memo table (contexts,
+    /// blocks, program keys) after a barrier sweep.
     pub max_semantics_entries: usize,
     /// Maximum retained verdict-memo entries after a barrier sweep.
     pub max_verdict_entries: usize,
-    /// Programs interpreted (semantics-memo inserts) between full resets of
-    /// the term manager.  Memo eviction cannot shrink the hash-cons table,
-    /// so this is the bound on term-table growth.
+    /// Distinct programs looked up (program-key inserts) between full
+    /// resets of the term manager.  Memo eviction cannot shrink the
+    /// hash-cons table, so this is the bound on term-table growth.
     pub max_interpretations_between_resets: u64,
 }
 
@@ -163,14 +184,177 @@ impl Default for CacheBudget {
 /// differ), `Some(model)` is the canonical distinguishing model.
 type Verdict = Option<Model>;
 
+/// A block's context: every top-level declaration of its program that is
+/// not a control or parser, in program order.  Interned once per distinct
+/// value; `id` is unique for the cache's lifetime.
 #[derive(Debug)]
-struct SemanticsEntry {
-    /// The hashed program, kept so a hash collision is detected by equality
-    /// instead of silently returning the wrong semantics.
-    program: Program,
-    semantics: Arc<ProgramSemantics>,
+struct BlockContext {
+    id: u64,
+    declarations: Vec<Declaration>,
+}
+
+#[derive(Debug)]
+struct ContextEntry {
+    context: Arc<BlockContext>,
     /// Generation (epoch index) of the last hit; insert counts as a hit.
     last_hit: u64,
+}
+
+/// One memoised block.  The key fields are kept so a hash collision is
+/// detected by equality instead of silently returning the wrong semantics.
+#[derive(Debug)]
+struct BlockEntry {
+    context: Arc<BlockContext>,
+    architecture: String,
+    slot: String,
+    decl: Declaration,
+    /// Unique for the cache's lifetime; program keys list these.
+    id: u64,
+    semantics: Arc<BlockSemantics>,
+    last_hit: u64,
+}
+
+impl BlockEntry {
+    fn matches(&self, context: &BlockContext, lookup: &BlockLookup<'_>) -> bool {
+        self.context.id == context.id
+            && self.architecture == lookup.architecture
+            && self.slot == lookup.spec.slot
+            && self.decl == *lookup.decl
+    }
+}
+
+/// A hash collision between different keys: the first occupant keeps the
+/// slot and the newcomer is interpreted without the memo.
+struct Collision;
+
+/// A program as the memo sees it: its context id and its block entry ids,
+/// in slot order.  Only counters read this set.
+type ProgramKey = (u64, Vec<u64>);
+
+/// The per-block semantics memo, guarded by one lock.
+#[derive(Debug, Default)]
+struct SemanticsMemo {
+    /// Interned contexts by structural hash.
+    contexts: HashMap<u64, ContextEntry>,
+    /// Block entries by (context id, hash of architecture, slot and
+    /// declaration).
+    blocks: HashMap<(u64, u64), BlockEntry>,
+    /// Distinct programs seen, with their last-hit generation.
+    programs: HashMap<ProgramKey, u64>,
+    /// Source of context and block entry ids.
+    next_id: u64,
+}
+
+impl SemanticsMemo {
+    fn fresh_id(&mut self) -> u64 {
+        self.next_id += 1;
+        self.next_id
+    }
+
+    /// The interned context with these declarations, interning it on first
+    /// sight.  `None` on a hash collision with a different context (the
+    /// first occupant keeps the slot).
+    fn intern_context(
+        &mut self,
+        hash: u64,
+        declarations: &[&Declaration],
+        generation: u64,
+    ) -> Option<Arc<BlockContext>> {
+        if let Some(entry) = self.contexts.get_mut(&hash) {
+            if !entry
+                .context
+                .declarations
+                .iter()
+                .eq(declarations.iter().copied())
+            {
+                return None;
+            }
+            entry.last_hit = generation;
+            return Some(entry.context.clone());
+        }
+        let context = Arc::new(BlockContext {
+            id: self.fresh_id(),
+            declarations: declarations.iter().map(|decl| (*decl).clone()).collect(),
+        });
+        self.contexts.insert(
+            hash,
+            ContextEntry {
+                context: context.clone(),
+                last_hit: generation,
+            },
+        );
+        Some(context)
+    }
+
+    /// The memoised entry for `lookup`'s block, if any.
+    fn find_block(
+        &mut self,
+        context: &BlockContext,
+        lookup: &BlockLookup<'_>,
+        generation: u64,
+    ) -> Result<Option<(u64, Arc<BlockSemantics>)>, Collision> {
+        match self.blocks.get_mut(&(context.id, lookup.hash)) {
+            Some(entry) if entry.matches(context, lookup) => {
+                entry.last_hit = generation;
+                Ok(Some((entry.id, entry.semantics.clone())))
+            }
+            Some(_) => Err(Collision),
+            None => Ok(None),
+        }
+    }
+
+    /// Memoises `semantics` for `lookup`'s block, or returns the entry a
+    /// racing worker inserted first.
+    fn insert_block(
+        &mut self,
+        context: &Arc<BlockContext>,
+        lookup: &BlockLookup<'_>,
+        semantics: Arc<BlockSemantics>,
+        generation: u64,
+    ) -> Result<(u64, Arc<BlockSemantics>), Collision> {
+        if let Some(found) = self.find_block(context, lookup, generation)? {
+            return Ok(found);
+        }
+        let id = self.fresh_id();
+        self.blocks.insert(
+            (context.id, lookup.hash),
+            BlockEntry {
+                context: context.clone(),
+                architecture: lookup.architecture.to_string(),
+                slot: lookup.spec.slot.clone(),
+                decl: lookup.decl.clone(),
+                id,
+                semantics: semantics.clone(),
+                last_hit: generation,
+            },
+        );
+        Ok((id, semantics))
+    }
+
+    fn clear(&mut self) -> usize {
+        let dropped = self.contexts.len() + self.blocks.len() + self.programs.len();
+        self.contexts.clear();
+        self.blocks.clear();
+        self.programs.clear();
+        dropped
+    }
+
+    fn sweep(&mut self, budget: usize) -> usize {
+        sweep(&mut self.contexts, budget, |entry| entry.last_hit)
+            + sweep(&mut self.blocks, budget, |entry| entry.last_hit)
+            + sweep(&mut self.programs, budget, |last_hit| *last_hit)
+    }
+}
+
+/// One block of a program being looked up.
+struct BlockLookup<'p> {
+    architecture: &'p str,
+    spec: &'p p4_ir::BlockSpec,
+    decl: &'p Declaration,
+    /// Hash of architecture, slot and declaration.
+    hash: u64,
+    /// The memo's entry, once found or inserted: its id and semantics.
+    found: Option<(u64, Arc<BlockSemantics>)>,
 }
 
 #[derive(Debug)]
@@ -186,12 +370,12 @@ pub struct CampaignCache {
     interner: Arc<Interner>,
     /// The current hash-consing manager, swappable at a barrier reset.
     tm: Mutex<Arc<TermManager>>,
-    semantics: Mutex<HashMap<u64, SemanticsEntry>>,
+    semantics: Mutex<SemanticsMemo>,
     verdicts: Mutex<HashMap<u64, VerdictEntry>>,
     budget: CacheBudget,
     /// Current generation; bumped by each barrier.
     generation: AtomicU64,
-    /// Semantics-memo inserts since the last manager reset.
+    /// Program-key inserts since the last manager reset.
     inserts_since_reset: AtomicU64,
     semantics_hits: AtomicU64,
     semantics_misses: AtomicU64,
@@ -285,8 +469,7 @@ impl CampaignCache {
             let dropped = {
                 let mut semantics = self.semantics.lock().expect("semantics memo lock poisoned");
                 let mut verdicts = self.verdicts.lock().expect("verdict memo lock poisoned");
-                let dropped = semantics.len() + verdicts.len();
-                semantics.clear();
+                let dropped = semantics.clear() + verdicts.len();
                 verdicts.clear();
                 dropped
             };
@@ -295,75 +478,153 @@ impl CampaignCache {
             self.inserts_since_reset.store(0, Ordering::Relaxed);
             self.manager_resets.fetch_add(1, Ordering::Relaxed);
         } else {
-            let swept = sweep(
-                &mut self.semantics.lock().expect("semantics memo lock poisoned"),
-                self.budget.max_semantics_entries,
-                |entry| entry.last_hit,
-            ) + sweep(
-                &mut self.verdicts.lock().expect("verdict memo lock poisoned"),
-                self.budget.max_verdict_entries,
-                |entry| entry.last_hit,
-            );
+            let swept = self
+                .semantics
+                .lock()
+                .expect("semantics memo lock poisoned")
+                .sweep(self.budget.max_semantics_entries)
+                + sweep(
+                    &mut self.verdicts.lock().expect("verdict memo lock poisoned"),
+                    self.budget.max_verdict_entries,
+                    |entry| entry.last_hit,
+                );
             self.evicted_entries
                 .fetch_add(swept as u64, Ordering::Relaxed);
         }
         self.generation.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The symbolic semantics of `program`, interpreting it at most once
-    /// per campaign (per retained memo entry).  Returns whether this lookup
-    /// was a hit alongside the semantics so callers can keep their own
-    /// per-session tallies.
+    /// The symbolic semantics of `program`, interpreting each of its blocks
+    /// at most once per campaign (per retained memo entry).  Returns whether
+    /// this lookup was a program-level hit alongside the semantics so
+    /// callers can keep their own per-session tallies.
     pub fn semantics(
         &self,
         program: &Program,
     ) -> Result<(Arc<ProgramSemantics>, bool), InterpError> {
-        let mut hasher = DefaultHasher::new();
-        program.hash(&mut hasher);
-        let key = hasher.finish();
+        let architecture = program_architecture(program)?;
         let generation = self.generation.load(Ordering::Relaxed);
-        if let Some(entry) = self
-            .semantics
-            .lock()
-            .expect("semantics memo lock poisoned")
-            .get_mut(&key)
-        {
-            if entry.program == *program {
-                entry.last_hit = generation;
-                self.semantics_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((entry.semantics.clone(), true));
+        let context_decls: Vec<&Declaration> = program
+            .declarations
+            .iter()
+            .filter(|decl| !matches!(decl, Declaration::Control(_) | Declaration::Parser(_)))
+            .collect();
+        let context_hash = structural_hash(&context_decls);
+
+        // Resolve and hash every block before taking the lock.  A binding
+        // error stops the scan; blocks before it still interpret first, so
+        // errors come out in the order `interpret_program` reports them.
+        let mut lookups = Vec::with_capacity(architecture.blocks.len());
+        let mut binding_error = None;
+        for spec in &architecture.blocks {
+            match bound_block(program, spec) {
+                Ok(decl) => lookups.push(BlockLookup {
+                    architecture: &program.architecture,
+                    spec,
+                    decl,
+                    hash: structural_hash(&(&program.architecture, &spec.slot, decl)),
+                    found: None,
+                }),
+                Err(error) => {
+                    binding_error = Some(error);
+                    break;
+                }
             }
-            // Hash collision: fall through and interpret uncached (the
-            // first occupant keeps the slot).
         }
-        // Interpret outside the lock so a slow program does not serialise
-        // the pool; a racing loser finds the entry occupied below and
-        // counts a hit instead (the memo did serve the canonical entry).
+
+        // Under the lock: intern the context and look every block up.
+        let context = {
+            let mut memo = self.semantics.lock().expect("semantics memo lock poisoned");
+            let Some(context) = memo.intern_context(context_hash, &context_decls, generation)
+            else {
+                drop(memo);
+                return self.uncached(program);
+            };
+            for lookup in &mut lookups {
+                match memo.find_block(&context, lookup, generation) {
+                    Ok(found) => lookup.found = found,
+                    Err(Collision) => {
+                        drop(memo);
+                        return self.uncached(program);
+                    }
+                }
+            }
+            if binding_error.is_none() && lookups.iter().all(|lookup| lookup.found.is_some()) {
+                return Ok(self.record_program(&mut memo, context.id, &lookups, generation));
+            }
+            context
+        };
+
+        // Interpret the missing blocks outside the lock so a slow block does
+        // not serialise the pool.
         let tm = self.term_manager();
-        let semantics = Arc::new(interpret_program(&tm, program)?);
-        let mut memo = self.semantics.lock().expect("semantics memo lock poisoned");
-        if let Some(entry) = memo.get_mut(&key) {
-            if entry.program == *program {
-                entry.last_hit = generation;
-                self.semantics_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((entry.semantics.clone(), true));
+        let mut env = None;
+        let mut interpreted = Vec::new();
+        for (index, lookup) in lookups.iter().enumerate() {
+            if lookup.found.is_none() {
+                let env = env.get_or_insert_with(|| TypeEnv::from_program(program));
+                let semantics = interpret_block(&tm, env, program, lookup.spec, lookup.decl)?;
+                interpreted.push((index, Arc::new(semantics)));
             }
-            // Collision slot stays with its first occupant; our interpretation
-            // is correct for `program`, it just is not memoisable.
-            self.semantics_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok((semantics, false));
         }
-        memo.insert(
-            key,
-            SemanticsEntry {
-                program: program.clone(),
-                semantics: semantics.clone(),
-                last_hit: generation,
-            },
-        );
+        if let Some(error) = binding_error {
+            return Err(error);
+        }
+
+        // Insert the new blocks; a racing loser finds its block already
+        // inserted and adopts the canonical entry.
+        let mut memo = self.semantics.lock().expect("semantics memo lock poisoned");
+        for (index, semantics) in interpreted {
+            match memo.insert_block(&context, &lookups[index], semantics, generation) {
+                Ok(found) => lookups[index].found = Some(found),
+                Err(Collision) => {
+                    drop(memo);
+                    return self.uncached(program);
+                }
+            }
+        }
+        Ok(self.record_program(&mut memo, context.id, &lookups, generation))
+    }
+
+    /// Counts a program lookup whose blocks are all memoised: a miss if
+    /// this thread inserts the program key, a hit otherwise.
+    fn record_program(
+        &self,
+        memo: &mut SemanticsMemo,
+        context_id: u64,
+        lookups: &[BlockLookup<'_>],
+        generation: u64,
+    ) -> (Arc<ProgramSemantics>, bool) {
+        let mut ids = Vec::with_capacity(lookups.len());
+        let mut blocks = Vec::with_capacity(lookups.len());
+        for lookup in lookups {
+            let (id, semantics) = lookup.found.clone().expect("every block is memoised");
+            ids.push(id);
+            blocks.push(semantics);
+        }
+        let key = (context_id, ids);
+        let hit = match memo.programs.get_mut(&key) {
+            Some(last_hit) => {
+                *last_hit = generation;
+                self.semantics_hits.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            None => {
+                memo.programs.insert(key, generation);
+                self.semantics_misses.fetch_add(1, Ordering::Relaxed);
+                self.inserts_since_reset.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+        };
+        (Arc::new(ProgramSemantics { blocks }), hit)
+    }
+
+    /// Interprets `program` without the memo (a hash collision keeps the
+    /// slot for its first occupant) and counts the lookup as a miss.
+    fn uncached(&self, program: &Program) -> Result<(Arc<ProgramSemantics>, bool), InterpError> {
+        let semantics = interpret_program(&self.term_manager(), program)?;
         self.semantics_misses.fetch_add(1, Ordering::Relaxed);
-        self.inserts_since_reset.fetch_add(1, Ordering::Relaxed);
-        Ok((semantics, false))
+        Ok((Arc::new(semantics), false))
     }
 
     /// Looks up the canonical verdict for a query term id.
@@ -403,12 +664,18 @@ impl CampaignCache {
     }
 }
 
+fn structural_hash(value: &impl Hash) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
 /// Evicts whole least-recently-hit generations until the memo fits
 /// `budget`.  Generation granularity keeps the sweep deterministic: the set
 /// of generations and each entry's last-hit generation are pure functions
 /// of lookup history, whereas cutting *within* a generation would depend on
 /// hash-map iteration order.  Returns the number of entries evicted.
-fn sweep<V>(memo: &mut HashMap<u64, V>, budget: usize, last_hit: impl Fn(&V) -> u64) -> usize {
+fn sweep<K, V>(memo: &mut HashMap<K, V>, budget: usize, last_hit: impl Fn(&V) -> u64) -> usize {
     if memo.len() <= budget {
         return 0;
     }
@@ -428,7 +695,41 @@ fn sweep<V>(memo: &mut HashMap<u64, V>, budget: usize, last_hit: impl Fn(&V) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p4_ir::builder;
+    use p4_ir::{builder, Expr, Statement};
+
+    /// `trivial_program` with `statement` appended to the apply block of
+    /// the control bound to `slot`.
+    fn with_statement(slot: &str, statement: Statement) -> Program {
+        let mut program = builder::trivial_program();
+        let name = program.package.binding(slot).unwrap().to_string();
+        program
+            .control_mut(&name)
+            .unwrap()
+            .apply
+            .statements
+            .push(statement);
+        program
+    }
+
+    fn assign(field: &str, value: u128) -> Statement {
+        Statement::assign(Expr::dotted(&["hdr", "h", field]), Expr::uint(value, 8))
+    }
+
+    fn block_entries(cache: &CampaignCache) -> usize {
+        cache.semantics.lock().unwrap().blocks.len()
+    }
+
+    fn shared(a: &ProgramSemantics, b: &ProgramSemantics, slot: &str) -> bool {
+        let find = |semantics: &ProgramSemantics| {
+            semantics
+                .blocks
+                .iter()
+                .find(|block| block.slot == slot)
+                .cloned()
+                .unwrap()
+        };
+        Arc::ptr_eq(&find(a), &find(b))
+    }
 
     #[test]
     fn semantics_memo_interprets_each_program_once() {
@@ -438,11 +739,95 @@ mod tests {
         let (second, hit2) = cache.semantics(&program).unwrap();
         assert!(!hit1);
         assert!(hit2);
-        assert!(Arc::ptr_eq(&first, &second));
+        // The second lookup interprets nothing: every block is shared.
+        assert_eq!(first.blocks.len(), 4);
+        for (a, b) in first.blocks.iter().zip(&second.blocks) {
+            assert!(Arc::ptr_eq(a, b), "block `{}` re-interpreted", a.slot);
+        }
+        assert_eq!(block_entries(&cache), 4);
         let stats = cache.stats();
         assert_eq!(stats.semantics_misses, 1);
         assert_eq!(stats.semantics_hits, 1);
         assert_eq!(stats.semantics_lookups(), 2);
+    }
+
+    #[test]
+    fn programs_differing_in_ingress_share_the_other_blocks() {
+        let cache = CampaignCache::new();
+        let (a, _) = cache
+            .semantics(&with_statement("ingress", assign("b", 1)))
+            .unwrap();
+        let (b, _) = cache
+            .semantics(&with_statement("ingress", assign("b", 2)))
+            .unwrap();
+        for slot in ["parser", "egress", "deparser"] {
+            assert!(shared(&a, &b, slot), "`{slot}` must be shared");
+        }
+        assert!(!shared(&a, &b, "ingress"));
+        // Four blocks for the first program, one more for the second: each
+        // `ingress` was interpreted once, nothing else twice.
+        assert_eq!(block_entries(&cache), 5);
+        let (a_again, hit) = cache
+            .semantics(&with_statement("ingress", assign("b", 1)))
+            .unwrap();
+        assert!(hit);
+        assert!(shared(&a, &a_again, "ingress"));
+        assert_eq!(block_entries(&cache), 5);
+    }
+
+    #[test]
+    fn a_changed_top_level_constant_reinterprets_every_block() {
+        let with_constant = |value| {
+            let mut program = builder::trivial_program();
+            program.declarations.insert(
+                0,
+                Declaration::Constant(p4_ir::ConstantDecl {
+                    name: "LIMIT".into(),
+                    ty: p4_ir::Type::bits(8),
+                    value: Expr::uint(value, 8),
+                }),
+            );
+            program
+        };
+        let cache = CampaignCache::new();
+        let (a, _) = cache.semantics(&with_constant(1)).unwrap();
+        let (b, _) = cache.semantics(&with_constant(2)).unwrap();
+        for slot in ["parser", "ingress", "egress", "deparser"] {
+            assert!(!shared(&a, &b, slot), "`{slot}` must be re-interpreted");
+        }
+        assert_eq!(block_entries(&cache), 8);
+        assert_eq!(cache.stats().semantics_misses, 2);
+    }
+
+    #[test]
+    fn program_counters_reconcile_over_shared_blocks() {
+        let cache = CampaignCache::new();
+        let ingress_one = with_statement("ingress", assign("b", 1));
+        let egress_two = with_statement("egress", assign("b", 2));
+        // Ingress from the first program, egress from the second: every
+        // block is memoised, yet the program is new.
+        let mut mixed = ingress_one.clone();
+        *mixed.control_mut("egress_impl").unwrap() =
+            egress_two.control("egress_impl").unwrap().clone();
+        let lookups = [
+            &ingress_one,
+            &egress_two,
+            &ingress_one,
+            &mixed,
+            &egress_two,
+            &mixed,
+        ];
+        let hits: Vec<bool> = lookups
+            .iter()
+            .map(|program| cache.semantics(program).unwrap().1)
+            .collect();
+        assert_eq!(hits, [false, false, true, false, true, true]);
+        // Parser, deparser, two ingresses and two egresses.
+        assert_eq!(block_entries(&cache), 6);
+        let stats = cache.stats();
+        assert_eq!(stats.semantics_misses, 3, "one miss per distinct program");
+        assert_eq!(stats.semantics_hits, 3);
+        assert_eq!(stats.semantics_lookups(), lookups.len() as u64);
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl From<InterpError> for EquivalenceError {
 /// fresh term manager and decides each block with a fresh solver.  Chains of
 /// related checks (translation validation of consecutive pass snapshots)
 /// should use a [`ValidationSession`] instead, which interprets every
-/// program once and reuses the solver's CNF across adjacent checks.
+/// distinct block once and reuses the solver's CNF across adjacent checks.
 pub fn check_equivalence(
     before: &Program,
     after: &Program,
@@ -361,9 +361,10 @@ fn check_semantics_equivalence_via(
 /// over every attached session yields the cache totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Programs whose semantics were served from the cache.
+    /// Programs the cache had seen before (every block memoised).
     pub semantics_hits: u64,
-    /// Programs that had to be interpreted.
+    /// Programs new to the cache; only their blocks the memo lacked were
+    /// interpreted.
     pub semantics_misses: u64,
     /// Equivalence checks decided without touching the solver because every
     /// output pair was syntactically identical after hash-consing.
@@ -385,12 +386,15 @@ pub struct SessionStats {
 ///
 /// Gauntlet validates a *chain* p₀ ≡ p₁ ≡ … ≡ pₙ of per-pass snapshots: the
 /// program emitted by pass *i* is the right-hand side of one check and the
-/// left-hand side of the next.  A session exploits that structure twice
-/// over:
+/// left-hand side of the next, and usually differs from its predecessor in
+/// one block.  A session exploits that structure twice over:
 ///
-/// * **semantics cache** — each distinct program is symbolically interpreted
-///   once (keyed by structural hash) and the resulting [`ProgramSemantics`]
-///   is shared between adjacent checks;
+/// * **semantics cache** — each block is symbolically interpreted once per
+///   distinct block key (architecture and slot, the bound control or
+///   parser, and the program's other top-level declarations; see
+///   [`crate::cache`]), and a [`ProgramSemantics`] is assembled from the
+///   shared block entries, so a pass that rewrites one control
+///   re-interprets that control alone;
 /// * **incremental solver** — all terms live in one hash-consing
 ///   [`TermManager`], and one [`Solver`] decides every query via
 ///   assumptions, so subterms shared across the chain are bit-blasted once
@@ -471,10 +475,11 @@ impl ValidationSession {
         self.solver.portfolio_races()
     }
 
-    /// The symbolic semantics of `program`, interpreting it only on the
-    /// first request across *all* sessions attached to the cache (keyed by
-    /// the program's structural hash, with the program itself compared on a
-    /// hit to rule out hash collisions).
+    /// The symbolic semantics of `program`, interpreting each block only on
+    /// the first request for its block key across *all* sessions attached
+    /// to the cache (the stored key is compared on every hit to rule out
+    /// hash collisions).  The session counts a hit when the cache has seen
+    /// this exact program before.
     pub fn semantics(&mut self, program: &Program) -> Result<Arc<ProgramSemantics>, InterpError> {
         let (semantics, hit) = self.cache.semantics(program)?;
         if hit {

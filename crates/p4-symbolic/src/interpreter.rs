@@ -91,15 +91,49 @@ impl BlockSemantics {
 }
 
 /// The symbolic semantics of a whole program: one formula per block.
+/// Blocks are shared so a memo can hand one block's semantics to every
+/// program that contains that block unchanged.
 #[derive(Debug, Clone)]
 pub struct ProgramSemantics {
-    pub blocks: Vec<BlockSemantics>,
+    pub blocks: Vec<Arc<BlockSemantics>>,
 }
 
 impl ProgramSemantics {
     pub fn block(&self, slot: &str) -> Option<&BlockSemantics> {
-        self.blocks.iter().find(|b| b.slot == slot)
+        self.blocks.iter().find(|b| b.slot == slot).map(Arc::as_ref)
     }
+}
+
+/// The architecture `program` targets.
+pub(crate) fn program_architecture(
+    program: &Program,
+) -> Result<&'static Architecture, InterpError> {
+    Architecture::named(&program.architecture)
+        .ok_or_else(|| InterpError::new(format!("unknown architecture `{}`", program.architecture)))
+}
+
+/// The declaration bound to `spec`'s slot: a control for control and
+/// deparser slots, a parser for the parser slot.
+pub(crate) fn bound_block<'p>(
+    program: &'p Program,
+    spec: &BlockSpec,
+) -> Result<&'p Declaration, InterpError> {
+    let Some(decl_name) = program.package.binding(&spec.slot) else {
+        return Err(InterpError::new(format!("slot `{}` is unbound", spec.slot)));
+    };
+    let is_parser = spec.kind == BlockKind::Parser;
+    program
+        .declarations
+        .iter()
+        .find(|decl| match decl {
+            Declaration::Control(control) => !is_parser && control.name == decl_name,
+            Declaration::Parser(parser) => is_parser && parser.name == decl_name,
+            _ => false,
+        })
+        .ok_or_else(|| {
+            let kind = if is_parser { "parser" } else { "control" };
+            InterpError::new(format!("{kind} `{decl_name}` not found"))
+        })
 }
 
 /// Interprets every programmable block of `program`, creating terms in `tm`.
@@ -109,33 +143,40 @@ pub fn interpret_program(
     tm: &Arc<TermManager>,
     program: &Program,
 ) -> Result<ProgramSemantics, InterpError> {
-    let architecture = Architecture::by_name(&program.architecture).ok_or_else(|| {
-        InterpError::new(format!("unknown architecture `{}`", program.architecture))
-    })?;
+    let architecture = program_architecture(program)?;
     let env = TypeEnv::from_program(program);
     let mut blocks = Vec::new();
     for spec in &architecture.blocks {
-        let Some(decl_name) = program.package.binding(&spec.slot) else {
-            return Err(InterpError::new(format!("slot `{}` is unbound", spec.slot)));
-        };
-        let mut interp = Interpreter::new(tm.clone(), &env, program);
-        let semantics = match spec.kind {
-            BlockKind::Control | BlockKind::Deparser => {
-                let control = program
-                    .control(decl_name)
-                    .ok_or_else(|| InterpError::new(format!("control `{decl_name}` not found")))?;
-                interp.interpret_control(spec, control)?
-            }
-            BlockKind::Parser => {
-                let parser = program
-                    .parser(decl_name)
-                    .ok_or_else(|| InterpError::new(format!("parser `{decl_name}` not found")))?;
-                interp.interpret_parser(spec, parser)?
-            }
-        };
-        blocks.push(semantics);
+        let decl = bound_block(program, spec)?;
+        blocks.push(Arc::new(interpret_block(tm, &env, program, spec, decl)?));
     }
     Ok(ProgramSemantics { blocks })
+}
+
+/// Interprets one programmable block: `decl` is the control or parser bound
+/// to `spec`'s slot (see [`bound_block`]) and `env` is `program`'s type
+/// environment.  Besides `decl`, only the architecture and the program's
+/// other top-level declarations (types, constants, globals, actions,
+/// functions, tables) are read, and every variable is named by its
+/// position, so the result is a pure function of those inputs within one
+/// term manager.  That is what lets [`crate::CampaignCache`] memoise
+/// blocks rather than programs.
+pub(crate) fn interpret_block(
+    tm: &Arc<TermManager>,
+    env: &TypeEnv,
+    program: &Program,
+    spec: &BlockSpec,
+    decl: &Declaration,
+) -> Result<BlockSemantics, InterpError> {
+    let mut interp = Interpreter::new(tm.clone(), env, program);
+    match decl {
+        Declaration::Control(control) => interp.interpret_control(spec, control),
+        Declaration::Parser(parser) => interp.interpret_parser(spec, parser),
+        other => Err(InterpError::new(format!(
+            "`{}` is neither a control nor a parser",
+            other.name()
+        ))),
+    }
 }
 
 struct Interpreter<'a> {
@@ -153,6 +194,8 @@ struct Interpreter<'a> {
     current_control: String,
     /// Counter for deterministic packet-extraction variable names.
     extract_counter: u32,
+    /// Counter for deterministic unknown-extern havoc variable names.
+    extern_counter: u32,
 }
 
 type IResult<T> = Result<T, InterpError>;
@@ -171,6 +214,7 @@ impl<'a> Interpreter<'a> {
             local_tables: BTreeMap::new(),
             current_control: String::new(),
             extract_counter: 0,
+            extern_counter: 0,
         }
     }
 
@@ -507,17 +551,27 @@ impl<'a> Interpreter<'a> {
                     return self.call_callable(&action.params, &action.body, None, &call.args);
                 }
                 // Unknown extern: havoc every out/inout argument and return
-                // a fresh value — "like an uninterpreted function" (§3).
-                for arg in &call.args {
+                // an unknown value — "like an uninterpreted function" (§3).
+                // The unknowns are named by control and call index, the way
+                // undefined reads are named by path, so re-interpreting the
+                // block yields the same terms.
+                let call_index = self.extern_counter;
+                self.extern_counter += 1;
+                let prefix = format!("{}.{call_index}", self.current_control);
+                for (arg_index, arg) in call.args.iter().enumerate() {
                     if arg.is_lvalue() {
                         if let Some(width) = self.lvalue_width(arg) {
-                            let fresh = self.tm.fresh_var("extern", Sort::BitVec(width));
-                            self.assign(arg, SymVal::Scalar(fresh))?;
+                            let havoc = self.tm.var(
+                                format!("extern.{prefix}.{arg_index}.w{width}"),
+                                Sort::BitVec(width),
+                            );
+                            self.assign(arg, SymVal::Scalar(havoc))?;
                         }
                     }
                 }
                 Ok(Some(SymVal::Scalar(
-                    self.tm.fresh_var("extern_result", Sort::BitVec(32)),
+                    self.tm
+                        .var(format!("extern_result.{prefix}"), Sort::BitVec(32)),
                 )))
             }
         }
@@ -1352,6 +1406,41 @@ mod tests {
         let mut env = Assignment::new();
         env.insert("hdr.h.b".into(), Value::bv(41, 8));
         assert_eq!(eval_output(&block, "hdr.h.a", &env), Value::bv(42, 8));
+    }
+
+    #[test]
+    fn unknown_extern_havoc_is_the_same_on_reinterpretation() {
+        use p4_ir::{Block, Statement};
+        let program = builder::v1model_program(
+            vec![],
+            Block::new(vec![
+                Statement::call(
+                    vec!["opaque_extern"],
+                    vec![Expr::dotted(&["hdr", "h", "a"])],
+                ),
+                Statement::assign(
+                    Expr::dotted(&["hdr", "h", "b"]),
+                    Expr::cast(Type::bits(8), Expr::call(vec!["opaque_extern"], vec![])),
+                ),
+            ]),
+        );
+        let tm = Arc::new(TermManager::new());
+        let first = interpret_program(&tm, &program).unwrap();
+        let second = interpret_program(&tm, &program).unwrap();
+        for (block_first, block_second) in first.blocks.iter().zip(&second.blocks) {
+            assert_eq!(block_first.outputs.len(), block_second.outputs.len());
+            for ((name, term_first), (_, term_second)) in
+                block_first.outputs.iter().zip(&block_second.outputs)
+            {
+                assert_eq!(term_first.id, term_second.id, "output {name} differs");
+            }
+        }
+        // The call did havoc its argument and produce an unknown result.
+        let ingress = first.block("ingress").unwrap();
+        for field in ["hdr.h.a", "hdr.h.b"] {
+            let input = tm.var(field, Sort::BitVec(8));
+            assert_ne!(ingress.output(field).unwrap().id, input.id, "{field}");
+        }
     }
 
     #[test]

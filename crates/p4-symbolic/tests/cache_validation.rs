@@ -9,7 +9,9 @@
 //! run entirely different solver state.
 
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
-use p4_symbolic::{CampaignCache, Equivalence, ValidationSession};
+use p4_symbolic::{
+    interpret_program, BlockSemantics, CampaignCache, Equivalence, ValidationSession,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -116,6 +118,62 @@ proptest! {
             }
         }
     }
+
+    /// The per-block memo is invisible: for every reference-compiler
+    /// snapshot of a tiny seed, the semantics it assembles — sharing blocks
+    /// with earlier snapshots — equal a fresh `interpret_program` in the
+    /// same manager, output for output.
+    #[test]
+    fn memoised_semantics_equal_fresh_interpretation(seed in 0u64..10_000) {
+        let program = RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate();
+        if let Ok(compiled) = p4c::Compiler::reference().compile(&program) {
+            let cache = CampaignCache::new();
+            let tm = cache.term_manager();
+            for snapshot in &compiled.snapshots {
+                let fresh = interpret_program(&tm, &snapshot.program);
+                let memoised = cache.semantics(&snapshot.program);
+                let (Ok(fresh), Ok((memoised, _))) = (&fresh, &memoised) else {
+                    prop_assert!(
+                        fresh.is_err() && memoised.is_err(),
+                        "seed {seed}, pass {}: only one path failed",
+                        snapshot.pass_name
+                    );
+                    continue;
+                };
+                prop_assert_eq!(memoised.blocks.len(), fresh.blocks.len());
+                for (memo_block, fresh_block) in memoised.blocks.iter().zip(&fresh.blocks) {
+                    prop_assert_eq!(&memo_block.slot, &fresh_block.slot);
+                    prop_assert_eq!(
+                        block_terms(memo_block),
+                        block_terms(fresh_block),
+                        "seed {}, pass {}, block {}",
+                        seed,
+                        &snapshot.pass_name,
+                        &fresh_block.slot
+                    );
+                    prop_assert_eq!(&memo_block.inputs, &fresh_block.inputs);
+                }
+            }
+        }
+    }
+}
+
+/// Every term of a block's semantics, by id and labelled: its outputs,
+/// branch conditions and table hit conditions.
+fn block_terms(block: &BlockSemantics) -> Vec<(String, u64)> {
+    let outputs = block
+        .outputs
+        .iter()
+        .map(|(name, term)| (name.clone(), term.id));
+    let branches = block
+        .branch_conditions
+        .iter()
+        .map(|term| ("branch".to_string(), term.id));
+    let tables = block
+        .tables
+        .iter()
+        .map(|table| (format!("{}.hit", table.table), table.hit.id));
+    outputs.chain(branches).chain(tables).collect()
 }
 
 /// Parses a miniature single-assignment program whose ingress body is

@@ -292,8 +292,8 @@ impl Shape {
     }
 }
 
-/// Creates terms and hands out fresh variable names.  All terms used in a
-/// single solver query must come from the same manager.
+/// Creates terms.  All terms used in a single solver query must come from
+/// the same manager.
 ///
 /// Terms are hash-consed: structurally identical terms share one node and
 /// one id.  This matters enormously for translation validation, where the
@@ -311,7 +311,6 @@ impl Shape {
 #[derive(Debug, Default)]
 struct ManagerState {
     next_id: u64,
-    fresh_counter: u64,
     table: std::collections::HashMap<(Sort, Shape), TermRef>,
 }
 
@@ -397,17 +396,6 @@ impl TermManager {
     pub fn var(&self, name: impl AsRef<str>, sort: Sort) -> TermRef {
         let (sym, text) = self.interner.intern(name.as_ref());
         self.mk(sort, TermKind::Var(VarName { sym, text }))
-    }
-
-    /// A fresh variable with a unique name built from `prefix`.
-    pub fn fresh_var(&self, prefix: &str, sort: Sort) -> TermRef {
-        let n = {
-            let mut state = self.state.lock().expect("term manager lock poisoned");
-            let n = state.fresh_counter;
-            state.fresh_counter += 1;
-            n
-        };
-        self.var(format!("{prefix}!{n}"), sort)
     }
 
     // ---- boolean connectives ------------------------------------------
@@ -970,17 +958,6 @@ mod tests {
         assert_eq!(tm.extract(7, 0, a.clone()).id, a.id);
         assert_eq!(tm.resize(a.clone(), 16).sort, Sort::BitVec(16));
         assert_eq!(tm.resize(b, 8).sort, Sort::BitVec(8));
-    }
-
-    #[test]
-    fn fresh_vars_are_distinct() {
-        let tm = TermManager::new();
-        let a = tm.fresh_var("undef", Sort::BitVec(8));
-        let b = tm.fresh_var("undef", Sort::BitVec(8));
-        match (&a.kind, &b.kind) {
-            (TermKind::Var(n1), TermKind::Var(n2)) => assert_ne!(n1, n2),
-            _ => panic!("fresh vars must be variables"),
-        }
     }
 
     #[test]

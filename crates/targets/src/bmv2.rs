@@ -8,10 +8,9 @@
 use crate::bugs::{BackEndBugClass, ExecutionQuirks};
 use crate::concrete::{execute_block, TableRuntime, UndefinedPolicy};
 use crate::harness::{compare_outputs, TestOutcome};
-use crate::target::{Artifact, LoadedArtifact, Target, TargetError};
+use crate::target::{compile_front_mid_end, Artifact, LoadedArtifact, Target, TargetError};
 use p4_ir::Program;
 use p4_symbolic::TestCase;
-use p4c::Compiler;
 
 /// The BMv2 back end: the shared (reference) front/mid end plus the
 /// `simple_switch` execution engine, optionally seeded with a back-end
@@ -47,9 +46,8 @@ impl Target for Bmv2Target {
     }
 
     fn compile(&self, program: &Program) -> Result<Artifact, TargetError> {
-        let result = Compiler::reference().compile(program)?;
         Ok(Artifact::new(Bmv2Image {
-            program: result.program,
+            program: compile_front_mid_end(program)?,
             quirks: ExecutionQuirks::for_bug(self.bug),
         }))
     }
@@ -171,7 +169,7 @@ mod tests {
         let program = builder::v1model_program(locals, apply);
         let target = Bmv2Target::new();
         let tests = tests_for(&target, &program);
-        let compiled = Compiler::reference()
+        let compiled = p4c::Compiler::reference()
             .compile(&program)
             .expect("compiles")
             .program;

@@ -22,10 +22,9 @@
 
 use crate::bugs::{BackEndBugClass, ExecutionQuirks};
 use crate::harness::{compare_outputs, TestOutcome};
-use crate::target::{Artifact, LoadedArtifact, Target, TargetError};
+use crate::target::{compile_front_mid_end, Artifact, LoadedArtifact, Target, TargetError};
 use p4_ir::{BinOp, Block, Declaration, Expr, Program, Statement};
 use p4_symbolic::{interpret_program, TestCase};
-use p4c::Compiler;
 use smt::{eval_with_default, Assignment, TermManager, TermRef};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -72,10 +71,10 @@ impl Target for RefInterpTarget {
     }
 
     fn compile(&self, program: &Program) -> Result<Artifact, TargetError> {
-        let result = Compiler::reference().compile(program)?;
+        let compiled = compile_front_mid_end(program)?;
         let lowered = match self.bug {
-            Some(bug) => apply_lowering_bug(&result.program, bug),
-            None => result.program,
+            Some(bug) => apply_lowering_bug(&compiled, bug),
+            None => compiled,
         };
         let tm = Arc::new(TermManager::new());
         let semantics = interpret_program(&tm, &lowered).map_err(|error| {

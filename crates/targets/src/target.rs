@@ -71,6 +71,15 @@ impl From<p4c::CompileError> for TargetError {
     }
 }
 
+/// The shared front/mid end every in-tree back end links against: the
+/// reference pipeline's fully compiled program.  Back ends read only that
+/// program, so the pipeline takes no per-pass snapshots.
+pub(crate) fn compile_front_mid_end(program: &Program) -> Result<Program, TargetError> {
+    let mut compiler = p4c::Compiler::reference();
+    compiler.options_mut().emit_snapshots = false;
+    Ok(compiler.compile(program)?.program)
+}
+
 /// What a target supports; consumed by [`drive_target`] and by the
 /// differential driver in `gauntlet-core`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

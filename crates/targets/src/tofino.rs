@@ -13,10 +13,9 @@
 use crate::bugs::{BackEndBugClass, ExecutionQuirks};
 use crate::concrete::{execute_block, TableRuntime, UndefinedPolicy};
 use crate::harness::{compare_outputs, TestOutcome};
-use crate::target::{Artifact, LoadedArtifact, Target, TargetError};
+use crate::target::{compile_front_mid_end, Artifact, LoadedArtifact, Target, TargetError};
 use p4_ir::{Architecture, Expr, Program, Statement, Visitor};
 use p4_symbolic::TestCase;
-use p4c::Compiler;
 
 /// The closed-source compiler.
 #[derive(Debug, Default)]
@@ -38,8 +37,7 @@ impl TofinoBackend {
     /// representation is *not* exposed; only a loadable binary comes back.
     pub fn compile_binary(&self, program: &Program) -> Result<TofinoBinary, TargetError> {
         // Shared front/mid end (the real back end links against P4C).
-        let result = Compiler::reference().compile(program)?;
-        let lowered = result.program;
+        let lowered = compile_front_mid_end(program)?;
 
         // Back-end restriction checks.
         let restrictions = Architecture::by_name(&lowered.architecture)
