@@ -324,8 +324,9 @@ fn validate_all(
 }
 
 /// The compiler under test: the catalogue's first P4C semantic (non-crash)
-/// seeded bug, the same selection rule as the `bug_campaign` example and
-/// the hunt determinism tests.
+/// seeded bug (`DefUseDropsParameterWrites`, as in `gauntlet hunt
+/// --compiler DefUseDropsParameterWrites`), the same selection rule as the
+/// hunt determinism tests.
 fn hunted_compiler() -> Compiler {
     gauntlet_core::SeededBug::catalogue()
         .into_iter()

@@ -142,7 +142,6 @@ struct ClassResult {
 fn run_bug_class(config: &CampaignConfig, bug_index: usize, bug: SeededBug) -> ClassResult {
     let gauntlet = Gauntlet::new(GauntletOptions {
         max_tests: config.max_tests,
-        ..GauntletOptions::default()
     });
     let mut programs: Vec<Program> = vec![bug.trigger_program()];
     let generator_config = match bug.architecture() {
@@ -344,11 +343,11 @@ pub struct HuntConfig {
     /// [`Gauntlet::check_differential`] across all `n` targets, with
     /// majority-vote attribution.
     pub targets: Vec<String>,
-    /// Coverage-guided hunting (the `--coverage` knob).  `None` hunts with
-    /// static weights, exactly as before.
+    /// Coverage-guided hunting (`gauntlet hunt --coverage`).  `None` hunts
+    /// with static weights, exactly as before.
     pub coverage: Option<CoverageOptions>,
-    /// Metamorphic mutation hunting (the `--mutate` knob).  With options
-    /// set, every generated program additionally spawns a family of
+    /// Metamorphic mutation hunting (`gauntlet hunt --mutants N`).  With
+    /// options set, every generated program additionally spawns a family of
     /// semantics-preserving mutants whose compiled forms are proved
     /// equivalent to the compiled seed ([`Gauntlet::check_mutants`]); with
     /// [`CoverageOptions::corpus`] also set, replayed corpus entries are
@@ -356,23 +355,23 @@ pub struct HuntConfig {
     /// findings commit at the ordered-commit point, so reports stay
     /// byte-identical at any `--jobs`.
     pub mutation: Option<MetamorphicOptions>,
-    /// Share one [`CampaignCache`] across the worker pool (the `--cache`
-    /// knob), living for the whole campaign: semantics are interpreted and
-    /// per-block equivalence queries decided once per campaign no matter
-    /// which worker — or which epoch — gets there first.  Growth is bounded
-    /// by a deterministic eviction sweep at each epoch barrier
+    /// Share one [`CampaignCache`] across the worker pool, living for the
+    /// whole campaign: semantics are interpreted and per-block equivalence
+    /// queries decided once per campaign no matter which worker — or which
+    /// epoch — gets there first.  Growth is bounded by a deterministic
+    /// eviction sweep at each epoch barrier
     /// ([`CampaignCache::epoch_barrier`]).  Cached SAT verdicts carry
     /// canonical models, so the rendered report is byte-identical with the
     /// cache on or off, at any `--jobs`.  On by default — this is where the
     /// campaign validate-throughput comes from (see `BENCH_pr9.json`).
     pub epoch_cache: bool,
     /// Race each hard equivalence query across K diverse SAT configurations
-    /// once its incremental solve exceeds a conflict budget (the
-    /// `--portfolio` knob, see [`smt::PortfolioOptions`]).  Off by default:
-    /// generated programs rarely produce miters hard enough to trigger the
-    /// race.  Verdict-preserving, so reports are identical either way.
+    /// once its incremental solve exceeds a conflict budget (see
+    /// [`smt::PortfolioOptions`]).  Off by default: generated programs
+    /// rarely produce miters hard enough to trigger the race.
+    /// Verdict-preserving, so reports are identical either way.
     pub portfolio: bool,
-    /// Flight-recorder telemetry (the `--events`/heartbeat knobs).  `None`
+    /// Flight-recorder telemetry (`--events` and the heartbeat).  `None`
     /// (the default) records nothing and pays nothing: every instrumentation
     /// hook in the stack is a single thread-local read.  With options set,
     /// each worker carries a [`gauntlet_telemetry::Recorder`] that is merged
@@ -416,6 +415,19 @@ impl HuntConfig {
             seed_count: count,
             ..self.clone()
         }
+    }
+
+    /// Check that every differential target spec resolves through the
+    /// built-in registry, so a typo fails before any work starts, with the
+    /// list of known targets, instead of poisoning a worker.
+    pub fn validate(&self) -> Result<(), String> {
+        let registry = TargetRegistry::builtin();
+        for spec in &self.targets {
+            registry
+                .build_spec(spec)
+                .map_err(|error| error.to_string())?;
+        }
+        Ok(())
     }
 }
 
@@ -1226,7 +1238,6 @@ where
         if self.config.portfolio {
             session.set_portfolio(PortfolioOptions::default());
         }
-        let mut session = Some(session);
         let mut check = || {
             self.gauntlet
                 .check_open_compiler_in(&mut session, &self.compiler, program)
@@ -1237,7 +1248,6 @@ where
         } else {
             (check(), None)
         };
-        let session = session.expect("the pipeline keeps the session");
         self.tally.add(SessionTally {
             sessions: session.stats(),
             portfolio_races: session.portfolio_races(),
@@ -1401,16 +1411,8 @@ impl ParallelCampaign {
         F: Fn() -> p4c::Compiler + Send + Sync,
     {
         let config = &self.config;
-        // Validate target specs before spawning workers, so a typo fails
-        // fast with the list of known targets instead of poisoning a
-        // worker thread.
-        {
-            let registry = TargetRegistry::builtin();
-            for spec in &config.targets {
-                if let Err(error) = registry.build_spec(spec) {
-                    panic!("invalid HuntConfig target spec: {error}");
-                }
-            }
+        if let Err(error) = config.validate() {
+            panic!("invalid HuntConfig target spec: {error}");
         }
         let jobs = config.jobs.max(1);
         let start = std::time::Instant::now();

@@ -19,9 +19,7 @@ use p4_mutate::{
     MutationCoverage,
 };
 use p4_reduce::{CrashOracle, Oracle, Reducer, ReducerConfig, SemanticOracle};
-use p4_symbolic::{
-    check_equivalence, generate_tests, Equivalence, EquivalenceError, ValidationSession,
-};
+use p4_symbolic::{generate_tests, Equivalence, EquivalenceError, ValidationSession};
 use p4c::{CompileError, CompileResult, Compiler, PassArea};
 use smt::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,20 +72,11 @@ fn area_of_pass(pass_name: &str) -> CompilerArea {
 pub struct GauntletOptions {
     /// Maximum tests generated per program for black-box back ends.
     pub max_tests: usize,
-    /// Validate the pass chain incrementally: interpret each snapshot once
-    /// (adjacent checks share it) and decide all queries with one
-    /// incremental solver.  Disable to force the paper's naive
-    /// re-interpret-and-re-bitblast-per-pair behaviour, e.g. for the
-    /// before/after comparison in the `gen_throughput` bench.
-    pub incremental: bool,
 }
 
 impl Default for GauntletOptions {
     fn default() -> Self {
-        GauntletOptions {
-            max_tests: 8,
-            incremental: true,
-        }
+        GauntletOptions { max_tests: 8 }
     }
 }
 
@@ -145,18 +134,16 @@ impl Gauntlet {
     /// Technique 1 + 2 against an open compiler (P4C): compile, report
     /// crashes, then translation-validate every pass.
     pub fn check_open_compiler(&self, compiler: &Compiler, program: &Program) -> ProgramOutcome {
-        self.check_open_compiler_in(&mut None, compiler, program)
+        self.check_open_compiler_in(&mut ValidationSession::new(), compiler, program)
     }
 
-    /// [`Gauntlet::check_open_compiler`] with an explicit (optional)
-    /// validation session: campaign workers open one session per program,
-    /// attached to the pool's shared `p4_symbolic::CampaignCache`, so
-    /// semantics and verdicts memoise across every program the pool checks.
-    /// With `None` the per-program session policy of
-    /// [`Gauntlet::validate_translation`] applies unchanged.
+    /// [`Gauntlet::check_open_compiler`] with an explicit validation
+    /// session: campaign workers open one session per program, attached to
+    /// the pool's shared `p4_symbolic::CampaignCache`, so semantics and
+    /// verdicts memoise across every program the pool checks.
     pub fn check_open_compiler_in(
         &self,
-        session: &mut Option<ValidationSession>,
+        session: &mut ValidationSession,
         compiler: &Compiler,
         program: &Program,
     ) -> ProgramOutcome {
@@ -187,10 +174,7 @@ impl Gauntlet {
                 )])
             }
             Ok(result) => {
-                let reports = match session {
-                    Some(_) => self.validate_translation_in(session, &result),
-                    None => self.validate_translation(&result),
-                };
+                let reports = self.validate_translation_in(session, &result);
                 let mut outcome = ProgramOutcome::with_reports(reports);
                 outcome.compiled = Some(result.program);
                 outcome
@@ -201,26 +185,20 @@ impl Gauntlet {
     /// Translation validation over the per-pass snapshots of a successful
     /// compilation (paper §5.2).
     ///
-    /// With [`GauntletOptions::incremental`] set (the default), the chain
-    /// p₀ ≡ p₁ ≡ … ≡ pₙ is validated through one [`ValidationSession`]:
-    /// every snapshot is interpreted once and serves as both the right-hand
-    /// side of one check and the left-hand side of the next, and all
-    /// equivalence queries share one incremental solver.
+    /// The chain p₀ ≡ p₁ ≡ … ≡ pₙ is validated through one fresh
+    /// [`ValidationSession`]: every snapshot is interpreted once and serves
+    /// as both the right-hand side of one check and the left-hand side of
+    /// the next, and all equivalence queries share one incremental solver.
     pub fn validate_translation(&self, result: &CompileResult) -> Vec<BugReport> {
-        let mut session = if self.options.incremental {
-            Some(ValidationSession::new())
-        } else {
-            None
-        };
-        self.validate_translation_in(&mut session, result)
+        self.validate_translation_in(&mut ValidationSession::new(), result)
     }
 
-    /// Translation validation with an explicit (optional) session, allowing
-    /// callers to share incremental state across *programs* as well as
-    /// across the passes of one program.
+    /// Translation validation with an explicit session, allowing callers to
+    /// share incremental state across *programs* as well as across the
+    /// passes of one program.
     pub fn validate_translation_in(
         &self,
-        session: &mut Option<ValidationSession>,
+        session: &mut ValidationSession,
         result: &CompileResult,
     ) -> Vec<BugReport> {
         let mut reports = Vec::new();
@@ -238,11 +216,7 @@ impl Gauntlet {
                 ));
                 continue;
             }
-            let verdict = match session.as_mut() {
-                Some(session) => session.check_pair(&before.program, &after.program),
-                None => check_equivalence(&before.program, &after.program),
-            };
-            match verdict {
+            match session.check_pair(&before.program, &after.program) {
                 Ok(Equivalence::Equal) => {}
                 Ok(Equivalence::NotEqual(counterexample)) => {
                     reports.push(BugReport::new(

@@ -201,13 +201,13 @@ impl FleetSpec {
             return Err("diversity requires coverage".into());
         }
         self.compiler.resolve()?;
-        self.generator_config()?;
-        Ok(())
+        self.hunt_config()?.validate()
     }
 
     /// The `HuntConfig` for the *whole* seed range; shards are cut from it
-    /// with [`HuntConfig::shard`].  Corpus and telemetry stay unset here —
-    /// the worker attaches its own temp corpus and event sink per shard.
+    /// with [`HuntConfig::shard`].  Corpus and telemetry stay unset here:
+    /// a shard hands its corpus back on its report, and the worker attaches
+    /// its own event sink per shard.
     pub fn hunt_config(&self) -> Result<HuntConfig, String> {
         Ok(HuntConfig {
             jobs: self.jobs_per_worker.max(1),
@@ -356,6 +356,8 @@ mod tests {
         assert!(spec.validate().is_err(), "diversity without coverage");
         spec.coverage = true;
         assert!(spec.validate().is_ok());
+        spec.targets = vec!["bogus".into()];
+        assert!(spec.validate().is_err(), "unknown target spec");
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The `gauntlet` binary: fleet campaigns from the command line.
+//! The `gauntlet` binary: campaigns from the command line.
 //!
 //! ```text
+//! gauntlet hunt --seeds 200 --compiler DefUseDropsParameterWrites --reduce
 //! gauntlet fleet hunt --seeds 100 --workers 2 --coverage --checkpoint fleet.ckpt
 //! gauntlet fleet status --checkpoint fleet.ckpt
 //! gauntlet fleet resume --checkpoint fleet.ckpt
@@ -8,49 +9,60 @@
 //! gauntlet fleet-worker        # spawned by the coordinator, not by hand
 //! ```
 //!
-//! Flag parsing is hand-rolled (the workspace is fully offline; no clap).
+//! `hunt` runs the campaign in this process; `fleet hunt` spreads the same
+//! campaign over worker processes.  Both take the same campaign flags and,
+//! without `--coverage`, print the same report.  Flag parsing is
+//! hand-rolled (the workspace is fully offline; no clap).
 
+use gauntlet_core::{CoverageOptions, ParallelCampaign, TelemetryOptions};
 use gauntlet_fleet::{
     checkpoint::Checkpoint, coordinator, worker, CompilerSpec, FleetMode, FleetOptions,
     FleetOutcome, FleetSpec,
 };
-use gauntlet_telemetry::json;
+use gauntlet_telemetry::{json, EventLog, ProgressSink};
+use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "\
 gauntlet — Gauntlet campaign driver
 
 USAGE:
+  gauntlet hunt [FLAGS]             run a campaign in this process
   gauntlet fleet hunt [FLAGS]       run a multi-process campaign
   gauntlet fleet resume [FLAGS]     continue from --checkpoint
   gauntlet fleet status --checkpoint PATH
   gauntlet report FILE              render a gauntlet-report-v1 JSON file
   gauntlet fleet-worker             (internal) shard executor
 
-FLEET HUNT FLAGS:
-  --workers N             worker processes (default 2)
-  --jobs N                threads per worker (default 1)
+CAMPAIGN FLAGS (hunt and fleet hunt):
+  --jobs N                threads (per worker under fleet; default 1)
   --seed-start N          first seed (default 0)
   --seeds N               seed count (default 100)
-  --shard-size N          seeds per lease (default 25)
   --compiler NAME         `reference` or a SeededBug name (default reference)
   --generator NAME        tiny | default | tofino (default tiny)
-  --mode MODE             deterministic | throughput (default deterministic)
-  --coverage              account pass-rule coverage and build a corpus
-  --corpus PATH           write the merged corpus here (implies --coverage)
-  --diversity             swarm mode: per-slice generator perturbation and
-                          disjoint pair-frontier partitions (implies --coverage)
+  --coverage              account pass-rule coverage and build a corpus;
+                          in-process hunts also adapt generator weights
+                          each epoch, fleet shards do not
+  --corpus PATH           replay and extend (hunt) or write the merged (fleet)
+                          corpus here (implies --coverage)
   --mutants N             metamorphic mutants per seed (default 0)
   --reduce                delta-debug committed findings
   --target SPEC           differential target (repeatable)
+  --report PATH           write the gauntlet-report-v1 JSON here
+  --events PATH           JSONL event log
+  --quiet                 no heartbeat, notes or worker stderr
+
+FLEET-ONLY FLAGS:
+  --workers N             worker processes (default 2)
+  --shard-size N          seeds per lease (default 25)
+  --mode MODE             deterministic | throughput (default deterministic)
+  --diversity             swarm mode: per-slice generator perturbation and
+                          disjoint pair-frontier partitions (implies --coverage)
   --checkpoint PATH       checkpoint file (enables resume/status)
   --checkpoint-every N    shards between checkpoints (default 1)
-  --report PATH           write the merged gauntlet-report-v1 JSON here
   --triage PATH           write the gauntlet-triage-v1 JSON here
-  --events PATH           merged JSONL event log
-  --quiet                 no status line, no worker stderr
 
-FAULT-INJECTION / RUNTIME FLAGS (hunt and resume):
+FAULT-INJECTION / RUNTIME FLAGS (fleet hunt and fleet resume):
   --chaos-kill W:F        kill worker W after its F-th delivered fragment
   --chaos-stall W:F       park worker W instead of its next assignment
   --stop-after-checkpoints N   stop (resumably) after N checkpoints
@@ -69,6 +81,7 @@ fn main() {
 fn run(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("fleet-worker") => worker::serve(),
+        Some("hunt") => hunt(&args[1..]),
         Some("fleet") => fleet(&args[1..]),
         Some("report") => report(&args[1..]),
         None | Some("--help") | Some("-h") | Some("help") => {
@@ -112,6 +125,97 @@ fn worker_command() -> Result<Vec<String>, String> {
     let exe = std::env::current_exe()
         .map_err(|error| format!("cannot locate the gauntlet binary: {error}"))?;
     Ok(vec![exe.display().to_string(), "fleet-worker".to_string()])
+}
+
+/// Parse the campaign flags shared by `hunt` and `fleet hunt`.  Returns
+/// `true` when the flag was consumed.
+fn campaign_flag(spec: &mut FleetSpec, args: &[String], index: &mut usize) -> Result<bool, String> {
+    match args[*index].as_str() {
+        "--jobs" => spec.jobs_per_worker = parse_number("--jobs", value(args, index, "--jobs")?)?,
+        "--seed-start" => {
+            spec.seed_start = parse_number("--seed-start", value(args, index, "--seed-start")?)?
+        }
+        "--seeds" => spec.seed_count = parse_number("--seeds", value(args, index, "--seeds")?)?,
+        "--compiler" => spec.compiler = CompilerSpec::from_name(value(args, index, "--compiler")?),
+        "--generator" => spec.generator = value(args, index, "--generator")?.to_string(),
+        "--coverage" => spec.coverage = true,
+        "--corpus" => {
+            spec.corpus = Some(value(args, index, "--corpus")?.to_string());
+            spec.coverage = true;
+        }
+        "--mutants" => {
+            spec.mutants_per_seed = parse_number("--mutants", value(args, index, "--mutants")?)?
+        }
+        "--reduce" => spec.reduce_reports = true,
+        "--target" => spec
+            .targets
+            .push(value(args, index, "--target")?.to_string()),
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// `gauntlet hunt`: the campaign in this process.  Stdout is exactly the
+/// report render; notes and the heartbeat go to stderr.
+fn hunt(args: &[String]) -> Result<(), String> {
+    let mut spec = FleetSpec::default();
+    let mut quiet = false;
+    let mut events = None;
+    let mut report_path = None;
+    let mut index = 0;
+    while index < args.len() {
+        if !campaign_flag(&mut spec, args, &mut index)? {
+            match args[index].as_str() {
+                "--quiet" => quiet = true,
+                "--events" => events = Some(value(args, &mut index, "--events")?.to_string()),
+                "--report" => report_path = Some(value(args, &mut index, "--report")?.to_string()),
+                other => {
+                    return Err(format!(
+                        "unknown hunt flag `{other}` (worker, checkpoint and fault-injection \
+                         flags belong to `gauntlet fleet hunt`)"
+                    ))
+                }
+            }
+        }
+        index += 1;
+    }
+    spec.validate()?;
+    let mut config = spec.hunt_config()?;
+    // In process, coverage adapts the generator weights at every epoch
+    // barrier and replays the corpus; fleet shards cannot (see FleetSpec).
+    if spec.coverage {
+        config.coverage = Some(CoverageOptions {
+            corpus: spec.corpus.clone(),
+            ..CoverageOptions::default()
+        });
+    }
+    let events = events
+        .map(|path| {
+            EventLog::create(&path)
+                .map(Arc::new)
+                .map_err(|error| format!("cannot create event log `{path}`: {error}"))
+        })
+        .transpose()?;
+    if events.is_some() || !quiet {
+        config.telemetry = Some(TelemetryOptions {
+            events,
+            progress: !quiet,
+        });
+    }
+    let compiler = spec.compiler.clone();
+    let report = ParallelCampaign::new(config).run(move || compiler.build());
+    ProgressSink::new(!quiet).note(&format!(
+        "hunt: {} program(s) in {:.2?} ({:.1} programs/s)",
+        report.programs_checked,
+        report.elapsed,
+        report.throughput()
+    ));
+    if let Some(path) = &report_path {
+        std::fs::write(path, report.to_json())
+            .map_err(|error| format!("cannot write report `{path}`: {error}"))?;
+    }
+    print!("{}", report.render());
+    Ok(())
 }
 
 #[derive(Default)]
@@ -203,7 +307,9 @@ fn fleet_hunt(args: &[String]) -> Result<(), String> {
     let mut outputs = OutputPaths::default();
     let mut index = 0;
     while index < args.len() {
-        if runtime_flag(&mut options, &mut outputs, args, &mut index)? {
+        if runtime_flag(&mut options, &mut outputs, args, &mut index)?
+            || campaign_flag(&mut spec, args, &mut index)?
+        {
             index += 1;
             continue;
         }
@@ -211,46 +317,19 @@ fn fleet_hunt(args: &[String]) -> Result<(), String> {
             "--workers" => {
                 spec.workers = parse_number("--workers", value(args, &mut index, "--workers")?)?
             }
-            "--jobs" => {
-                spec.jobs_per_worker = parse_number("--jobs", value(args, &mut index, "--jobs")?)?
-            }
-            "--seed-start" => {
-                spec.seed_start =
-                    parse_number("--seed-start", value(args, &mut index, "--seed-start")?)?
-            }
-            "--seeds" => {
-                spec.seed_count = parse_number("--seeds", value(args, &mut index, "--seeds")?)?
-            }
             "--shard-size" => {
                 spec.shard_size =
                     parse_number("--shard-size", value(args, &mut index, "--shard-size")?)?
             }
-            "--compiler" => {
-                spec.compiler = CompilerSpec::from_name(value(args, &mut index, "--compiler")?)
-            }
-            "--generator" => spec.generator = value(args, &mut index, "--generator")?.to_string(),
             "--mode" => {
                 let name = value(args, &mut index, "--mode")?;
                 spec.mode =
                     FleetMode::from_name(name).ok_or_else(|| format!("unknown mode `{name}`"))?;
             }
-            "--coverage" => spec.coverage = true,
-            "--corpus" => {
-                spec.corpus = Some(value(args, &mut index, "--corpus")?.to_string());
-                spec.coverage = true;
-            }
             "--diversity" => {
                 spec.diversity = true;
                 spec.coverage = true;
             }
-            "--mutants" => {
-                spec.mutants_per_seed =
-                    parse_number("--mutants", value(args, &mut index, "--mutants")?)?
-            }
-            "--reduce" => spec.reduce_reports = true,
-            "--target" => spec
-                .targets
-                .push(value(args, &mut index, "--target")?.to_string()),
             "--checkpoint" => {
                 spec.checkpoint = Some(value(args, &mut index, "--checkpoint")?.to_string())
             }

@@ -299,3 +299,58 @@ fn merged_event_log_validates_per_process_streams() {
     );
     let _ = std::fs::remove_file(&events_path);
 }
+
+/// The in-process front door: `gauntlet hunt` prints exactly the render of
+/// the `ParallelCampaign` its flags describe, refuses fleet-only flags, and
+/// — like `fleet hunt` — rejects an unknown target before any work starts.
+#[test]
+fn gauntlet_hunt_prints_the_in_process_render_and_refuses_fleet_flags() {
+    let mut spec = spec(10, 10);
+    spec.coverage = false;
+    spec.jobs_per_worker = 2;
+    spec.reduce_reports = true;
+    spec.mutants_per_seed = 1;
+    spec.targets = vec!["ref-interp".into()];
+    let compiler = spec.compiler.clone();
+    let expected = ParallelCampaign::new(spec.hunt_config().expect("hunt config"))
+        .run(move || compiler.build())
+        .render();
+
+    let gauntlet = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_gauntlet"))
+            .args(args)
+            .output()
+            .expect("gauntlet runs")
+    };
+    let hunt = gauntlet(&[
+        "hunt",
+        "--seeds",
+        "10",
+        "--jobs",
+        "2",
+        "--compiler",
+        spec.compiler.as_str(),
+        "--reduce",
+        "--mutants",
+        "1",
+        "--target",
+        "ref-interp",
+        "--quiet",
+    ]);
+    assert!(hunt.status.success(), "{hunt:?}");
+    assert_eq!(String::from_utf8_lossy(&hunt.stdout), expected);
+
+    let fleet_flag = gauntlet(&["hunt", "--workers", "2"]);
+    assert!(!fleet_flag.status.success());
+    assert!(String::from_utf8_lossy(&fleet_flag.stderr).contains("gauntlet fleet hunt"));
+
+    for command in [&["hunt"][..], &["fleet", "hunt", "--workers", "1"][..]] {
+        let bogus =
+            gauntlet(&[command, &["--target", "bogus", "--seeds", "2", "--quiet"]].concat());
+        assert!(
+            !bogus.status.success(),
+            "{command:?} accepted a bogus target"
+        );
+        assert!(String::from_utf8_lossy(&bogus.stderr).contains("unknown target spec `bogus`"));
+    }
+}

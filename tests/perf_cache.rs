@@ -26,7 +26,7 @@ fn budget() -> usize {
 }
 
 /// The compiler under test: the catalogue's first P4C semantic (non-crash)
-/// seeded bug — the same selection as the `bug_campaign` example and the
+/// seeded bug (`DefUseDropsParameterWrites`) — the same selection as the
 /// committed trajectory bench — so hunts produce real counterexamples and
 /// the solver path (not just structural discharge) is exercised.
 fn hunted_compiler() -> p4c::Compiler {
