@@ -1114,4 +1114,57 @@ mod tests {
         let control = program.control("ig").unwrap();
         assert_eq!(control.apply.statements.len(), 4);
     }
+
+    /// Error messages and positions are part of the parser's contract:
+    /// several of these paths read a token right after consuming the one
+    /// before it.
+    #[test]
+    fn malformed_programs_report_stable_errors() {
+        let cases = [
+            ("header h {", "expected an identifier, found `<eof>`", 1, 11),
+            ("struct s { bit<8> ; }", "expected an identifier, found `;`", 1, 19),
+            (
+                "control c() { apply { 1 = 2; } }",
+                "unexpected token number `1` at start of a statement",
+                1,
+                23,
+            ),
+            (
+                "control c(inout bit<8> x) { apply { x = (bit<8>) ; } }",
+                "unexpected token `;` in an expression",
+                1,
+                50,
+            ),
+            (
+                "control c() { apply { if (a { } } }",
+                "expected `)`, found `{`",
+                1,
+                29,
+            ),
+            (
+                "control c() { table t { key = { a : fuzzy; } } apply { } }",
+                "unknown match kind `fuzzy`",
+                1,
+                42,
+            ),
+            (
+                "parser p() { state start { transition select(a) { 1 x; } } }",
+                "expected `:`, found identifier `x`",
+                1,
+                53,
+            ),
+            ("bit<8> 7;", "expected an identifier, found number `7`", 1, 8),
+            (
+                "control c() { apply { hdr.h.a[3:] = 1; } }",
+                "expected a constant index, found `]`",
+                1,
+                35,
+            ),
+        ];
+        for (source, message, line, column) in cases {
+            let error = parse_program(source).unwrap_err();
+            assert_eq!(error.message, message, "{source}");
+            assert_eq!(error.pos, Pos { line, column }, "{source}");
+        }
+    }
 }

@@ -1276,6 +1276,86 @@ mod tests {
     }
 
     #[test]
+    fn conditional_return_only_affects_its_path() {
+        use p4_ir::{Block, Declaration, FunctionDecl, Param, Statement};
+        // bit<8> bump(inout bit<8> v) {
+        //     if (v == 0) { return 5; }
+        //     v = v + 1;
+        //     return v;
+        // }
+        let function = FunctionDecl {
+            name: "bump".into(),
+            return_type: Type::bits(8),
+            params: vec![Param::new(Direction::InOut, "v", Type::bits(8))],
+            body: Block::new(vec![
+                Statement::if_then(
+                    Expr::binary(BinOp::Eq, Expr::path("v"), Expr::uint(0, 8)),
+                    Statement::Block(Block::new(vec![Statement::Return(Some(Expr::uint(
+                        5, 8,
+                    )))])),
+                ),
+                Statement::assign(
+                    Expr::path("v"),
+                    Expr::binary(BinOp::Add, Expr::path("v"), Expr::uint(1, 8)),
+                ),
+                Statement::Return(Some(Expr::path("v"))),
+            ]),
+        };
+        let mut program = builder::v1model_program(
+            vec![],
+            Block::new(vec![Statement::assign(
+                Expr::dotted(&["hdr", "h", "a"]),
+                Expr::call(vec!["bump"], vec![Expr::dotted(&["hdr", "h", "b"])]),
+            )]),
+        );
+        program.declarations.push(Declaration::Function(function));
+        let (_tm, block) = ingress_semantics(&program);
+        let mut env = Assignment::new();
+        env.insert("hdr.h.b".into(), Value::bv(0, 8));
+        assert_eq!(eval_output(&block, "hdr.h.a", &env), Value::bv(5, 8));
+        assert_eq!(eval_output(&block, "hdr.h.b", &env), Value::bv(0, 8));
+        env.insert("hdr.h.b".into(), Value::bv(7, 8));
+        assert_eq!(eval_output(&block, "hdr.h.a", &env), Value::bv(8, 8));
+        assert_eq!(eval_output(&block, "hdr.h.b", &env), Value::bv(8, 8));
+    }
+
+    #[test]
+    fn block_inputs_list_validity_first_then_fields_by_name() {
+        let program = builder::trivial_program();
+        let (_tm, block) = ingress_semantics(&program);
+        let inputs: Vec<String> = block
+            .inputs
+            .iter()
+            .map(|(name, width)| format!("{name}:{width}"))
+            .collect();
+        // Test generation builds its non-zero preference in this order, so
+        // it reaches generated models: fields are declared `dst_addr,
+        // src_addr, eth_type` and `tmp, flag` but listed by name.
+        assert_eq!(
+            inputs,
+            [
+                "hdr.eth.$valid:1",
+                "hdr.eth.dst_addr:48",
+                "hdr.eth.eth_type:16",
+                "hdr.eth.src_addr:48",
+                "hdr.h.$valid:1",
+                "hdr.h.a:8",
+                "hdr.h.b:8",
+                "hdr.h.c:8",
+                "meta.flag:8",
+                "meta.tmp:16",
+                "standard_metadata.deq_qdepth:19",
+                "standard_metadata.egress_port:9",
+                "standard_metadata.egress_spec:9",
+                "standard_metadata.enq_timestamp:32",
+                "standard_metadata.ingress_port:9",
+                "standard_metadata.instance_type:32",
+                "standard_metadata.packet_length:32",
+            ]
+        );
+    }
+
+    #[test]
     fn copy_in_copy_out_of_inout_action_parameters() {
         use p4_ir::{ActionDecl, Block, Declaration, Param, Statement};
         // Figure 5f without the exit: action a(inout bit<16> val) { val = 3; }
