@@ -160,7 +160,7 @@ impl MetamorphicChecker {
     }
 
     fn with_session(mut compiler: Compiler, session: ValidationSession) -> MetamorphicChecker {
-        compiler.options_mut().emit_snapshots = false;
+        compiler.options_mut().snapshots = p4c::Snapshots::None;
         MetamorphicChecker {
             compiler,
             session,

@@ -167,20 +167,18 @@ pub fn lex(source: &str) -> Result<Vec<Spanned>, LexError> {
     Lexer::new(source).run()
 }
 
-struct Lexer<'a> {
+struct Lexer {
     chars: Vec<char>,
     index: usize,
     pos: Pos,
-    source: &'a str,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(source: &'a str) -> Lexer<'a> {
+impl Lexer {
+    fn new(source: &str) -> Lexer {
         Lexer {
             chars: source.chars().collect(),
             index: 0,
             pos: Pos::start(),
-            source,
         }
     }
 
@@ -378,10 +376,7 @@ impl<'a> Lexer<'a> {
             .trim_end_matches(".p4")
             .to_string();
         if name.is_empty() {
-            return Err(self.error(format!(
-                "malformed preprocessor line in {}",
-                self.source.len()
-            )));
+            return Err(self.error(format!("malformed preprocessor line `{line}`")));
         }
         Ok(Token::Include(name))
     }
@@ -487,6 +482,15 @@ mod tests {
 
     fn tokens(source: &str) -> Vec<Token> {
         lex(source).unwrap().into_iter().map(|s| s.token).collect()
+    }
+
+    #[test]
+    fn malformed_preprocessor_lines_are_quoted() {
+        let error = lex("#\n").unwrap_err();
+        assert_eq!(error.message, "malformed preprocessor line `#`");
+        let error = lex("control c() {}\n#include <>\n").unwrap_err();
+        assert_eq!(error.message, "malformed preprocessor line `#include <>`");
+        assert_eq!(error.pos.line, 2);
     }
 
     #[test]

@@ -76,14 +76,17 @@ impl Parser {
         self.tokens[self.index.min(self.tokens.len() - 1)].pos
     }
 
+    /// Consumes the current token and returns it.  The parser never
+    /// backtracks, so the token is moved out of the stream rather than
+    /// cloned; the trailing `Eof` is never consumed.
     fn bump(&mut self) -> Token {
-        let token = self.tokens[self.index.min(self.tokens.len() - 1)]
-            .token
-            .clone();
-        if self.index < self.tokens.len() - 1 {
+        let last = self.tokens.len() - 1;
+        if self.index < last {
             self.index += 1;
+            std::mem::replace(&mut self.tokens[self.index - 1].token, Token::Eof)
+        } else {
+            self.tokens[last].token.clone()
         }
-        token
     }
 
     fn error<T>(&self, message: impl Into<String>) -> PResult<T> {
@@ -112,11 +115,11 @@ impl Parser {
     }
 
     fn identifier(&mut self) -> PResult<String> {
-        match self.peek().clone() {
-            Token::Identifier(name) => {
-                self.bump();
-                Ok(name)
-            }
+        match self.peek() {
+            Token::Identifier(_) => match self.bump() {
+                Token::Identifier(name) => Ok(name),
+                _ => unreachable!("the current token is an identifier"),
+            },
             other => self.error(format!("expected an identifier, found {other}")),
         }
     }
@@ -149,12 +152,13 @@ impl Parser {
         let mut declarations = Vec::new();
         let mut package = PackageInstance::default();
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Token::Eof => break,
-                Token::Include(name) => {
-                    self.bump();
-                    if name != "core" {
-                        architecture = name;
+                Token::Include(_) => {
+                    if let Token::Include(name) = self.bump() {
+                        if name != "core" {
+                            architecture = name;
+                        }
                     }
                 }
                 Token::Identifier(word) => match word.as_str() {
@@ -388,7 +392,7 @@ impl Parser {
     }
 
     fn local_declaration(&mut self) -> PResult<Declaration> {
-        match self.peek().clone() {
+        match self.peek() {
             Token::Identifier(word) => match word.as_str() {
                 "action" => Ok(Declaration::Action(self.action_decl()?)),
                 "table" => Ok(Declaration::Table(self.table_decl()?)),
@@ -549,7 +553,7 @@ impl Parser {
     }
 
     fn statement(&mut self) -> PResult<Statement> {
-        match self.peek().clone() {
+        match self.peek() {
             Token::LBrace => Ok(Statement::Block(self.block()?)),
             Token::Semicolon => {
                 self.bump();
@@ -858,7 +862,7 @@ impl Parser {
     }
 
     fn primary_expr(&mut self) -> PResult<Expr> {
-        match self.peek().clone() {
+        match *self.peek() {
             Token::Number(value) => {
                 self.bump();
                 Ok(Expr::Int {
@@ -879,7 +883,7 @@ impl Parser {
                     signed,
                 })
             }
-            Token::Identifier(name) => match name.as_str() {
+            Token::Identifier(ref name) => match name.as_str() {
                 "true" => {
                     self.bump();
                     Ok(Expr::Bool(true))
@@ -888,10 +892,7 @@ impl Parser {
                     self.bump();
                     Ok(Expr::Bool(false))
                 }
-                _ => {
-                    self.bump();
-                    Ok(Expr::Path(name))
-                }
+                _ => Ok(Expr::Path(self.identifier()?)),
             },
             Token::LParen => {
                 self.bump();
@@ -908,7 +909,7 @@ impl Parser {
                     Ok(expr)
                 }
             }
-            other => self.error(format!("unexpected token {other} in an expression")),
+            ref other => self.error(format!("unexpected token {other} in an expression")),
         }
     }
 
@@ -1122,7 +1123,12 @@ mod tests {
     fn malformed_programs_report_stable_errors() {
         let cases = [
             ("header h {", "expected an identifier, found `<eof>`", 1, 11),
-            ("struct s { bit<8> ; }", "expected an identifier, found `;`", 1, 19),
+            (
+                "struct s { bit<8> ; }",
+                "expected an identifier, found `;`",
+                1,
+                19,
+            ),
             (
                 "control c() { apply { 1 = 2; } }",
                 "unexpected token number `1` at start of a statement",
@@ -1153,7 +1159,12 @@ mod tests {
                 1,
                 53,
             ),
-            ("bit<8> 7;", "expected an identifier, found number `7`", 1, 8),
+            (
+                "bit<8> 7;",
+                "expected an identifier, found number `7`",
+                1,
+                8,
+            ),
             (
                 "control c() { apply { hdr.h.a[3:] = 1; } }",
                 "expected a constant index, found `]`",

@@ -12,7 +12,7 @@
 
 use p4_ir::Program;
 use p4_symbolic::{difference_headline, EquivalenceError, PairVerdict, ValidationSession};
-use p4c::{CompileError, Compiler, PassSnapshot};
+use p4c::{CompileError, Compiler, PassSnapshot, Snapshots};
 use targets::{drive_target, Target, TargetFinding};
 
 /// `Platform` label of the open P4C pipeline, as it appears in dedup keys.
@@ -66,7 +66,7 @@ impl CrashOracle {
     /// Turns the compiler's per-pass snapshots off: this oracle reads only
     /// the compile error, never a snapshot.
     pub fn new(mut compiler: Compiler) -> CrashOracle {
-        compiler.options_mut().emit_snapshots = false;
+        compiler.options_mut().snapshots = Snapshots::None;
         CrashOracle { compiler }
     }
 }
@@ -109,8 +109,8 @@ impl Oracle for CrashOracle {
 /// ([`ValidationSession::check_pair_verdict`]).  A shrink step whose target
 /// names a validated pass (`Semantic|P4c|<pass>|…` or
 /// `InvalidTransformation|P4c|<pass>|…`) still compiles the whole pipeline,
-/// so a later crash or rejection still rejects the candidate, but parses
-/// and checks only that pass's snapshot pairs.
+/// so a later crash or rejection still rejects the candidate, but snapshots,
+/// parses and checks only that pass's pairs ([`Snapshots::Pass`]).
 pub struct SemanticOracle {
     compiler: Compiler,
     session: ValidationSession,
@@ -205,8 +205,12 @@ impl Oracle for SemanticOracle {
         let Some(pass) = validated_pass(target) else {
             return self.signatures(program).iter().any(|s| s == target);
         };
+        let options = self.compiler.options_mut();
+        let snapshots = std::mem::replace(&mut options.snapshots, Snapshots::Pass(pass.into()));
+        let compiled = self.compiler.compile(program);
+        self.compiler.options_mut().snapshots = snapshots;
         // A crash or rejection is a finding of another kind.
-        let Ok(result) = self.compiler.compile(program) else {
+        let Ok(result) = compiled else {
             return false;
         };
         let reproduces = result

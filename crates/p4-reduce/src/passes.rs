@@ -61,21 +61,21 @@ impl ReductionPass for DeclarationDdmin {
     }
 
     fn reduce(&self, program: &Program, check: &mut Check) -> Option<Program> {
-        let reduced = ddmin(&program.declarations, &mut |subset| {
-            if subset.len() == program.declarations.len() {
-                return false;
-            }
-            let mut candidate = program.clone();
-            candidate.declarations = subset.to_vec();
-            check(&candidate)
+        // Ddmin runs over declaration indices, so each candidate clones
+        // only the declarations it keeps, once.
+        let keeping = |kept: &[usize]| Program {
+            architecture: program.architecture.clone(),
+            declarations: kept
+                .iter()
+                .map(|&index| program.declarations[index].clone())
+                .collect(),
+            package: program.package.clone(),
+        };
+        let indices: Vec<usize> = (0..program.declarations.len()).collect();
+        let reduced = ddmin(&indices, &mut |subset| {
+            subset.len() < indices.len() && check(&keeping(subset))
         });
-        if reduced.len() < program.declarations.len() {
-            let mut result = program.clone();
-            result.declarations = reduced;
-            Some(result)
-        } else {
-            None
-        }
+        (reduced.len() < indices.len()).then(|| keeping(&reduced))
     }
 }
 

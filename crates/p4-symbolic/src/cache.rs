@@ -2,13 +2,14 @@
 //! pool and across its epochs.
 //!
 //! Campaign hunts validate hundreds of generated programs whose pass
-//! snapshots, mutants and reduction candidates mostly repeat one another: a
-//! pass usually rewrites one control, and the generator draws from a fixed
-//! header/metadata namespace, so the same terms and the same per-block
-//! queries come back seed after seed — and epoch after epoch.  A
-//! [`CampaignCache`] holds the memoisation layers every
-//! [`crate::ValidationSession`] attached to it shares for the whole
-//! campaign:
+//! snapshots and mutants mostly repeat one another: a pass usually rewrites
+//! one control, and the generator draws from a fixed header/metadata
+//! namespace, so the same terms and the same per-block queries come back
+//! seed after seed — and epoch after epoch.  A [`CampaignCache`] holds the
+//! memoisation layers every [`crate::ValidationSession`] attached to it
+//! shares for the whole campaign.  Reduction candidates are not served from
+//! it: each reduction's semantic oracle keeps a private session of its own.
+//! The layers are:
 //!
 //! * **term manager** — one hash-consing [`TermManager`], so structurally
 //!   identical subterms built by any worker collapse to a single node and

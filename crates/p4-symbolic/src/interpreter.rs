@@ -10,7 +10,7 @@
 //! variable and one symbolic action-index variable per table application,
 //! with the default action as the fallback.
 
-use crate::state::{symbolic_of_type, undefined_of_type, SymState, SymVal};
+use crate::state::{input_of_type, symbolic_of_type, undefined_of_type, SymState, SymVal};
 use p4_ir::{
     ActionDecl, ActionRef, Architecture, BinOp, Block, BlockKind, BlockSpec, CallExpr, ControlDecl,
     Declaration, Direction, Expr, FunctionDecl, Param, ParserDecl, Program, Statement, TableDecl,
@@ -241,29 +241,20 @@ impl<'a> Interpreter<'a> {
         Ok(())
     }
 
-    fn bind_params(&mut self, prefix_control: &str, params: &[Param]) -> Vec<(String, u32)> {
-        let _ = prefix_control;
+    fn bind_params(&mut self, params: &[Param]) -> Vec<(String, u32)> {
         let mut inputs = Vec::new();
         for param in params {
-            let resolved = self.env.resolve(&param.ty);
-            if resolved == Type::Packet {
+            if self.env.resolve(&param.ty) == Type::Packet {
                 continue;
             }
             let value = if param.direction.copies_in() {
                 // Inputs are named by the parameter path so both sides of a
                 // translation-validation query use identical variables.
-                symbolic_of_type(&self.tm, self.env, &param.ty, &param.name, None)
+                input_of_type(&self.tm, self.env, &param.ty, &param.name, &mut inputs)
             } else {
                 // `out` parameters start undefined (headers invalid).
                 undefined_of_type(&self.tm, self.env, &param.ty, &param.name)
             };
-            if param.direction.copies_in() {
-                let mut flat = Vec::new();
-                value.flatten(&param.name, &mut flat);
-                for (name, term) in flat {
-                    inputs.push((name, term.sort.width()));
-                }
-            }
             self.state.declare(param.name.clone(), value);
         }
         inputs
@@ -289,7 +280,7 @@ impl<'a> Interpreter<'a> {
     ) -> IResult<BlockSemantics> {
         self.current_control = control.name.clone();
         self.bind_globals()?;
-        let inputs = self.bind_params(&control.name, &control.params);
+        let inputs = self.bind_params(&control.params);
         // Register control-local declarations.
         for local in &control.locals {
             match local {
@@ -334,7 +325,7 @@ impl<'a> Interpreter<'a> {
     ) -> IResult<BlockSemantics> {
         self.current_control = parser.name.clone();
         self.bind_globals()?;
-        let inputs = self.bind_params(&parser.name, &parser.params);
+        let inputs = self.bind_params(&parser.params);
         for local in &parser.locals {
             if let Declaration::Variable { name, ty, init } = local {
                 let value = match init {
@@ -425,12 +416,18 @@ impl<'a> Interpreter<'a> {
                 self.tm.not(self.state.exited.clone()),
                 self.tm.not(self.state.returned.clone()),
             );
-            if let smt::TermKind::BoolConst(false) = active.kind {
-                break;
+            match active.kind {
+                smt::TermKind::BoolConst(false) => break,
+                // Every path is still running, so the guarded merge below
+                // would be the identity: `ite(true, a, b)` is `a`, and no
+                // statement drops a `return_value` (calls restore theirs).
+                smt::TermKind::BoolConst(true) => self.exec_statement(stmt)?,
+                _ => {
+                    let before = self.state.clone();
+                    self.exec_statement(stmt)?;
+                    self.state = SymState::merge(&self.tm, &active, &self.state, &before);
+                }
             }
-            let before = self.state.clone();
-            self.exec_statement(stmt)?;
-            self.state = SymState::merge(&self.tm, &active, &self.state, &before);
         }
         Ok(())
     }
@@ -744,7 +741,6 @@ impl<'a> Interpreter<'a> {
                     self.env,
                     &param.ty,
                     &format!("{table_prefix}.{}.{}", action.name, param.name),
-                    None,
                 )
             } else {
                 undefined_of_type(&self.tm, self.env, &param.ty, &param.name)
@@ -1290,9 +1286,7 @@ mod tests {
             body: Block::new(vec![
                 Statement::if_then(
                     Expr::binary(BinOp::Eq, Expr::path("v"), Expr::uint(0, 8)),
-                    Statement::Block(Block::new(vec![Statement::Return(Some(Expr::uint(
-                        5, 8,
-                    )))])),
+                    Statement::Block(Block::new(vec![Statement::Return(Some(Expr::uint(5, 8)))])),
                 ),
                 Statement::assign(
                     Expr::path("v"),

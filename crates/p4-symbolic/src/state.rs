@@ -9,6 +9,7 @@
 use p4_ir::{Type, TypeEnv};
 use smt::{Sort, TermManager, TermRef};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// A symbolic value: a scalar term or a nested aggregate.
@@ -52,19 +53,27 @@ impl SymVal {
     /// Flattens the value into `(suffix, term)` pairs, including `$valid`
     /// entries for headers.  `prefix` is prepended to every name.
     pub fn flatten(&self, prefix: &str, out: &mut Vec<(String, TermRef)>) {
-        match self {
-            SymVal::Scalar(term) => out.push((prefix.to_string(), term.clone())),
-            SymVal::Struct(fields) => {
-                for (name, value) in fields {
-                    value.flatten(&format!("{prefix}.{name}"), out);
-                }
+        self.flatten_at(&mut prefix.to_string(), out);
+    }
+
+    /// [`SymVal::flatten`] with the dotted path kept in one buffer, which is
+    /// restored before returning.
+    fn flatten_at(&self, path: &mut String, out: &mut Vec<(String, TermRef)>) {
+        let fields = match self {
+            SymVal::Scalar(term) => {
+                out.push((path.clone(), term.clone()));
+                return;
             }
+            SymVal::Struct(fields) => fields,
             SymVal::Header { valid, fields } => {
-                out.push((format!("{prefix}.$valid"), valid.clone()));
-                for (name, value) in fields {
-                    value.flatten(&format!("{prefix}.{name}"), out);
-                }
+                with_segment(path, "$valid", |path| {
+                    out.push((path.clone(), valid.clone()))
+                });
+                fields
             }
+        };
+        for (name, value) in fields {
+            with_segment(path, name, |path| value.flatten_at(path, out));
         }
     }
 
@@ -109,62 +118,91 @@ impl SymVal {
     }
 }
 
+/// The sort of a leaf of resolved, non-aggregate type `ty`: unresolvable or
+/// non-value types get a 1-bit placeholder.
+fn leaf_sort(ty: &Type) -> Sort {
+    match ty {
+        Type::Bool => Sort::Bool,
+        Type::Bits { width, .. } => Sort::BitVec(*width),
+        _ => Sort::BitVec(1),
+    }
+}
+
+/// Runs `f` with `.segment` appended to `path`, then restores `path`.
+fn with_segment<R>(path: &mut String, segment: &str, f: impl FnOnce(&mut String) -> R) -> R {
+    let len = path.len();
+    path.push('.');
+    path.push_str(segment);
+    let result = f(path);
+    path.truncate(len);
+    result
+}
+
 /// Builds a symbolic value of the given type whose leaves are fresh
-/// variables named `prefix.<field>` (used for block inputs).
-pub fn symbolic_of_type(
+/// variables named `prefix.<field>` (used for control-plane action
+/// parameters).
+pub fn symbolic_of_type(tm: &TermManager, env: &TypeEnv, ty: &Type, prefix: &str) -> SymVal {
+    input_of_type(tm, env, ty, prefix, &mut Vec::new())
+}
+
+/// Builds a block input: [`symbolic_of_type`] named by `name`, which also
+/// appends every leaf's `(path, width)` to `inputs` in the order
+/// [`SymVal::flatten`] lists them (`$valid` first, then fields by name).
+pub fn input_of_type(
     tm: &TermManager,
     env: &TypeEnv,
     ty: &Type,
-    prefix: &str,
-    header_valid: Option<bool>,
+    name: &str,
+    inputs: &mut Vec<(String, u32)>,
 ) -> SymVal {
-    let resolved = env.resolve(ty);
-    match &resolved {
-        Type::Bool => SymVal::Scalar(tm.var(prefix, Sort::Bool)),
-        Type::Bits { width, .. } => SymVal::Scalar(tm.var(prefix, Sort::BitVec(*width))),
-        Type::Header(name) => {
-            let mut fields = BTreeMap::new();
-            if let Some(agg) = env.aggregate(name) {
-                for field in &agg.fields {
-                    fields.insert(
-                        field.name.clone(),
-                        symbolic_of_type(
-                            tm,
-                            env,
-                            &field.ty,
-                            &format!("{prefix}.{}", field.name),
-                            header_valid,
-                        ),
-                    );
-                }
-            }
-            let valid = match header_valid {
-                Some(value) => tm.bool_const(value),
-                None => tm.var(format!("{prefix}.$valid"), Sort::Bool),
-            };
-            SymVal::Header { valid, fields }
+    symbolic_at(tm, env, ty, &mut name.to_string(), inputs)
+}
+
+/// The walk behind [`input_of_type`], with the dotted name kept in one
+/// buffer.
+fn symbolic_at(
+    tm: &TermManager,
+    env: &TypeEnv,
+    ty: &Type,
+    path: &mut String,
+    leaves: &mut Vec<(String, u32)>,
+) -> SymVal {
+    let (name, is_header) = match env.resolve(ty) {
+        Type::Header(name) => (name, true),
+        Type::Struct(name) => (name, false),
+        scalar => {
+            let sort = leaf_sort(&scalar);
+            leaves.push((path.clone(), sort.width()));
+            return SymVal::Scalar(tm.var(path.as_str(), sort));
         }
-        Type::Struct(name) => {
-            let mut fields = BTreeMap::new();
-            if let Some(agg) = env.aggregate(name) {
-                for field in &agg.fields {
-                    fields.insert(
-                        field.name.clone(),
-                        symbolic_of_type(
-                            tm,
-                            env,
-                            &field.ty,
-                            &format!("{prefix}.{}", field.name),
-                            header_valid,
-                        ),
-                    );
-                }
-            }
-            SymVal::Struct(fields)
-        }
-        // Unresolvable / non-value types: a 1-bit placeholder.
-        _ => SymVal::Scalar(tm.var(prefix, Sort::BitVec(1))),
+    };
+    if is_header {
+        with_segment(path, "$valid", |path| leaves.push((path.clone(), 1)));
     }
+    // Variables are created field by field in declaration order (a
+    // header's `$valid` last), which fixes the manager's term ids, while
+    // the leaves are listed by field name.  `spans` maps each name to its
+    // leaves; like `fields`, it keeps the last of a repeated name.
+    let first = leaves.len();
+    let mut spans = BTreeMap::new();
+    let mut fields = BTreeMap::new();
+    for field in env.aggregate(&name).map_or(&[][..], |agg| &agg.fields) {
+        let start = leaves.len() - first;
+        let value = with_segment(path, &field.name, |path| {
+            symbolic_at(tm, env, &field.ty, path, leaves)
+        });
+        spans.insert(field.name.as_str(), start..leaves.len() - first);
+        fields.insert(field.name.clone(), value);
+    }
+    let mut declared = leaves.split_off(first);
+    for range in spans.into_values() {
+        leaves.extend(declared[range].iter_mut().map(std::mem::take));
+    }
+    if !is_header {
+        return SymVal::Struct(fields);
+    }
+    let valid = with_segment(path, "$valid", |path| tm.var(path.as_str(), Sort::Bool));
+    SymVal::Header { valid, fields }
 }
 
 /// Builds an "undefined" value of the given type: every leaf is an
@@ -179,40 +217,41 @@ pub fn symbolic_of_type(
 /// unchanged program always validates as equivalent, while a pass that makes
 /// a defined value undefined (or vice versa) is still flagged.
 pub fn undefined_of_type(tm: &TermManager, env: &TypeEnv, ty: &Type, hint: &str) -> SymVal {
-    let resolved = env.resolve(ty);
-    match &resolved {
-        Type::Bool => SymVal::Scalar(tm.var(format!("undef.{hint}.b"), Sort::Bool)),
-        Type::Bits { width, .. } => {
-            SymVal::Scalar(tm.var(format!("undef.{hint}.w{width}"), Sort::BitVec(*width)))
-        }
-        Type::Header(name) => {
-            let mut fields = BTreeMap::new();
-            if let Some(agg) = env.aggregate(name) {
-                for field in &agg.fields {
-                    fields.insert(
-                        field.name.clone(),
-                        undefined_of_type(tm, env, &field.ty, &format!("{hint}.{}", field.name)),
-                    );
-                }
+    undefined_at(tm, env, ty, &mut format!("undef.{hint}"))
+}
+
+/// The walk behind [`undefined_of_type`], with the dotted name kept in one
+/// buffer.
+fn undefined_at(tm: &TermManager, env: &TypeEnv, ty: &Type, path: &mut String) -> SymVal {
+    let (name, is_header) = match env.resolve(ty) {
+        Type::Header(name) => (name, true),
+        Type::Struct(name) => (name, false),
+        scalar => {
+            let sort = leaf_sort(&scalar);
+            let len = path.len();
+            match sort {
+                Sort::Bool => path.push_str(".b"),
+                Sort::BitVec(width) => write!(path, ".w{width}").expect("writing to a String"),
             }
-            SymVal::Header {
-                valid: tm.bool_const(false),
-                fields,
-            }
+            let var = tm.var(path.as_str(), sort);
+            path.truncate(len);
+            return SymVal::Scalar(var);
         }
-        Type::Struct(name) => {
-            let mut fields = BTreeMap::new();
-            if let Some(agg) = env.aggregate(name) {
-                for field in &agg.fields {
-                    fields.insert(
-                        field.name.clone(),
-                        undefined_of_type(tm, env, &field.ty, &format!("{hint}.{}", field.name)),
-                    );
-                }
-            }
-            SymVal::Struct(fields)
+    };
+    let mut fields = BTreeMap::new();
+    for field in env.aggregate(&name).map_or(&[][..], |agg| &agg.fields) {
+        let value = with_segment(path, &field.name, |path| {
+            undefined_at(tm, env, &field.ty, path)
+        });
+        fields.insert(field.name.clone(), value);
+    }
+    if is_header {
+        SymVal::Header {
+            valid: tm.bool_const(false),
+            fields,
         }
-        _ => SymVal::Scalar(tm.var(format!("undef.{hint}.w1"), Sort::BitVec(1))),
+    } else {
+        SymVal::Struct(fields)
     }
 }
 
@@ -340,7 +379,7 @@ mod tests {
     #[test]
     fn symbolic_struct_flattens_with_validity_bits() {
         let (tm, env) = setup();
-        let value = symbolic_of_type(&tm, &env, &Type::Named("headers_t".into()), "hdr", None);
+        let value = symbolic_of_type(&tm, &env, &Type::Named("headers_t".into()), "hdr");
         let mut flat = Vec::new();
         value.flatten("hdr", &mut flat);
         let names: Vec<&str> = flat.iter().map(|(n, _)| n.as_str()).collect();
@@ -348,6 +387,35 @@ mod tests {
         assert!(names.contains(&"hdr.eth.src_addr"));
         assert!(names.contains(&"hdr.h.$valid"));
         assert!(names.contains(&"hdr.h.a"));
+    }
+
+    #[test]
+    fn input_leaves_are_listed_in_flatten_order() {
+        use p4_ir::{Declaration, Field, StructDecl};
+        let tm = TermManager::new();
+        let mut program = builder::trivial_program();
+        // Unsorted, with a repeated name: the field map keeps the last `b`.
+        program.declarations.push(Declaration::Struct(StructDecl {
+            name: "dup_t".into(),
+            fields: vec![
+                Field::new("b", Type::bits(8)),
+                Field::new("h", Type::Named("h_t".into())),
+                Field::new("a", Type::bits(4)),
+                Field::new("b", Type::bits(16)),
+            ],
+        }));
+        let env = TypeEnv::from_program(&program);
+        for ty in ["headers_t", "metadata_t", "standard_metadata_t", "dup_t"] {
+            let mut inputs = Vec::new();
+            let value = input_of_type(&tm, &env, &Type::Named(ty.into()), "p", &mut inputs);
+            let mut flat = Vec::new();
+            value.flatten("p", &mut flat);
+            let flat: Vec<(String, u32)> = flat
+                .into_iter()
+                .map(|(name, term)| (name, term.sort.width()))
+                .collect();
+            assert_eq!(inputs, flat, "{ty}");
+        }
     }
 
     #[test]

@@ -75,6 +75,20 @@ pub struct CompileResult {
     pub coverage: crate::coverage::PassCoverage,
 }
 
+impl PassSnapshot {
+    /// The snapshot of `program` as pass `pass_name` (at `pass_index`, in
+    /// `area`) emitted it.
+    fn new((pass_name, area, pass_index): (&str, PassArea, usize), program: Program) -> Self {
+        PassSnapshot {
+            pass_name: pass_name.to_string(),
+            area,
+            pass_index,
+            printed: print_program(&program),
+            program,
+        }
+    }
+}
+
 impl CompileResult {
     /// Consecutive snapshot pairs `(before, after)` for translation
     /// validation.
@@ -83,18 +97,37 @@ impl CompileResult {
     }
 }
 
+/// Which per-pass snapshots a compile records in
+/// [`CompileResult::snapshots`].  Every mode runs the whole pipeline.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Snapshots {
+    /// The input program and the program after every pass that changed it
+    /// (the `p4test --top4` behaviour Gauntlet depends on).
+    All,
+    /// No snapshots, for callers that read only the final program or the
+    /// compile error.
+    None,
+    /// Only the snapshots that make up the named pass's pairs under
+    /// [`Snapshots::All`]: for every run of the pass that changed the
+    /// program, the snapshot before it and the one after it, both printed.
+    /// If the pass runs more than once with other changes between runs,
+    /// [`CompileResult::pass_pairs`] also yields a bridging pair whose
+    /// `after` belongs to another pass, so callers select pairs by
+    /// `after.pass_name`.
+    Pass(String),
+}
+
 /// Options controlling a compiler run.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// Whether to capture a snapshot after every modifying pass
-    /// (the `p4test --top4` behaviour Gauntlet depends on).
-    pub emit_snapshots: bool,
+    /// Which per-pass snapshots the compile records.
+    pub snapshots: Snapshots,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
         CompileOptions {
-            emit_snapshots: true,
+            snapshots: Snapshots::All,
         }
     }
 }
@@ -221,14 +254,11 @@ impl Compiler {
         }
         let mut snapshots = Vec::new();
         let mut unchanged = Vec::new();
-        if self.options.emit_snapshots {
-            snapshots.push(PassSnapshot {
-                pass_name: "<input>".into(),
-                area: PassArea::FrontEnd,
-                pass_index: 0,
-                program: current.clone(),
-                printed: print_program(&current),
-            });
+        // The name, area and index of the snapshot `current` has under
+        // `Snapshots::All`.
+        let mut origin = ("<input>", PassArea::FrontEnd, 0);
+        if self.options.snapshots == Snapshots::All {
+            snapshots.push(PassSnapshot::new(origin, current.clone()));
         }
 
         for (index, pass) in self.passes.iter().enumerate() {
@@ -259,16 +289,24 @@ impl Compiler {
                     // Emitted programs identical to their predecessor are
                     // ignored (paper §5.2).
                     if transformed != current {
-                        current = transformed;
-                        if self.options.emit_snapshots {
-                            snapshots.push(PassSnapshot {
-                                pass_name: pass.name().to_string(),
-                                area: pass.area(),
-                                pass_index: index + 1,
-                                program: current.clone(),
-                                printed: print_program(&current),
-                            });
+                        let before = std::mem::replace(&mut current, transformed);
+                        let after = (pass.name(), pass.area(), index + 1);
+                        match &self.options.snapshots {
+                            Snapshots::All => {
+                                snapshots.push(PassSnapshot::new(after, current.clone()))
+                            }
+                            Snapshots::Pass(name) if name == pass.name() => {
+                                // Two runs in a row share their middle snapshot.
+                                if snapshots.last().map(|s: &PassSnapshot| s.pass_index)
+                                    != Some(origin.2)
+                                {
+                                    snapshots.push(PassSnapshot::new(origin, before));
+                                }
+                                snapshots.push(PassSnapshot::new(after, current.clone()));
+                            }
+                            Snapshots::Pass(_) | Snapshots::None => {}
                         }
+                        origin = after;
                     } else {
                         unchanged.push(pass.name().to_string());
                     }
@@ -349,6 +387,51 @@ mod tests {
         assert_eq!(result.snapshots.len(), 2);
         assert_eq!(result.snapshots[1].pass_name, "RenameControl");
         assert_eq!(result.pass_pairs().count(), 1);
+    }
+
+    /// A `Snapshots::Pass` compile holds exactly the named pass's pairs of
+    /// a `Snapshots::All` compile, and no other pass's pairs.
+    #[test]
+    fn pass_snapshots_match_that_pass_pairs_of_a_full_compile() {
+        use p4_gen::{GeneratorConfig, RandomProgramGenerator};
+        let reference = Compiler::reference();
+        let mut pairs = 0;
+        for seed in 0..12 {
+            let program = RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate();
+            let Ok(all) = reference.compile(&program) else {
+                continue;
+            };
+            for name in reference.pass_names() {
+                let mut compiler = Compiler::reference();
+                compiler.options_mut().snapshots = Snapshots::Pass(name.clone());
+                let only = compiler.compile(&program).unwrap();
+                let key = |(before, after): (&PassSnapshot, &PassSnapshot)| {
+                    let fields = |s: &PassSnapshot| {
+                        (s.pass_name.clone(), s.area, s.pass_index, s.printed.clone())
+                    };
+                    assert_eq!(
+                        p4_ir::print_program(&before.program),
+                        before.printed,
+                        "seed {seed}"
+                    );
+                    (fields(before), fields(after))
+                };
+                let expected: Vec<_> = all
+                    .pass_pairs()
+                    .filter(|(_, after)| after.pass_name == name)
+                    .map(key)
+                    .collect();
+                let got: Vec<_> = only.pass_pairs().map(key).collect();
+                assert_eq!(got, expected, "seed {seed}, pass {name}");
+                assert_eq!(only.program, all.program);
+                pairs += got.len();
+            }
+        }
+        assert!(pairs > 10, "the fixture must exercise pass pairs: {pairs}");
+        let mut silent = Compiler::reference();
+        silent.options_mut().snapshots = Snapshots::None;
+        let result = silent.compile(&builder::trivial_program()).unwrap();
+        assert!(result.snapshots.is_empty());
     }
 
     #[test]
