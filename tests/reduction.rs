@@ -115,6 +115,41 @@ fn seeded_hunt_reduces_every_report() {
     }
 }
 
+/// A reducing hunt over a crash-class bug: every crash finding carries a
+/// minimized program that reproduces its dedup key through the
+/// open-compiler oracle.
+#[test]
+fn seeded_crash_hunt_reduces_every_report() {
+    let bug = SeededBug::FrontEnd(p4c::FrontEndBugClass::InlineCrashOnConditional);
+    let hunt = ParallelCampaign::new(HuntConfig {
+        jobs: 2,
+        seed_count: 200,
+        reduce_reports: true,
+        ..HuntConfig::default()
+    })
+    .run(|| bug.build_compiler());
+    assert!(hunt.total_bugs > 0, "the seeded crash must fire");
+    assert_eq!(hunt.reduction_failures, 0);
+    for outcome in &hunt.outcomes {
+        for report in &outcome.reports {
+            assert!(report.kind.is_crash_like(), "seed {}", outcome.seed);
+            let minimized = report
+                .minimized
+                .as_deref()
+                .unwrap_or_else(|| panic!("seed {}: report not reduced", outcome.seed));
+            let minimized = p4_parser::parse_program(minimized)
+                .unwrap_or_else(|e| panic!("seed {}: minimized does not parse: {e}", outcome.seed));
+            let mut oracle = Gauntlet::open_compiler_oracle(report, bug.build_compiler());
+            assert!(
+                oracle.reproduces(&minimized, &report.dedup_key()),
+                "seed {}: minimized reproducer lost `{}`",
+                outcome.seed,
+                report.dedup_key()
+            );
+        }
+    }
+}
+
 /// Reduction with the symbolic-execution (black-box) oracle: a padded BMv2
 /// trigger shrinks while the STF replay keeps failing identically.
 #[test]
