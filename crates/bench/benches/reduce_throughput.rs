@@ -4,62 +4,62 @@
 //! The paper reduced every reported program to a minimal reproducer before
 //! filing it; reduction cost is dominated by re-running the detection
 //! technique on every shrink candidate.  This bench measures the raw oracle
-//! rate (crash oracle, the incremental semantic oracle's full signature
-//! set, and its pass-targeted, verdict-only `reproduces` that every shrink
-//! step calls) and the end-to-end cost of delta-debugging a fixed seed set,
-//! asserting along the way that every minimized program still triggers the
-//! original bug.
+//! rate (the open-compiler oracle on a crash target, which compiles without
+//! snapshots, and on a semantic target, the pass-targeted, verdict-only
+//! check every shrink step of a translation-validation finding makes) and
+//! the end-to-end cost of delta-debugging a fixed seed set, asserting along
+//! the way that every minimized program still triggers the original bug.
 //!
 //! Run with `cargo bench --bench reduce_throughput`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use gauntlet_core::{BugReport, Gauntlet, SeededBug};
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
-use p4_reduce::{statement_count, CrashOracle, Oracle, Reducer, ReducerConfig, SemanticOracle};
-use p4c::{Compiler, FrontEndBugClass};
+use p4_ir::Program;
+use p4_reduce::{statement_count, Reducer, ReducerConfig};
+use p4_symbolic::ValidationSession;
+use p4c::FrontEndBugClass;
 
-fn buggy_compiler(class: FrontEndBugClass) -> Compiler {
-    let mut compiler = Compiler::reference();
-    compiler.replace_pass(class.faulty_pass());
-    compiler
-}
+const SEMANTIC: SeededBug = SeededBug::FrontEnd(FrontEndBugClass::DefUseDropsParameterWrites);
 
 /// The fixed seed set every measurement uses: seeds from a tiny-program
-/// range whose generated program triggers the seeded def-use bug.
-fn trigger_seeds(count: usize) -> Vec<u64> {
-    let mut oracle =
-        SemanticOracle::new(buggy_compiler(FrontEndBugClass::DefUseDropsParameterWrites));
+/// range whose generated program triggers the seeded def-use bug, each with
+/// its program and first finding.
+fn triggers(count: usize) -> Vec<(u64, Program, BugReport)> {
+    let compiler = SEMANTIC.build_compiler();
+    let mut session = ValidationSession::new();
     (0u64..)
-        .filter(|&seed| {
+        .filter_map(|seed| {
             let program = RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate();
-            !oracle.signatures(&program).is_empty()
+            let report = Gauntlet::default()
+                .check_open_compiler_in(&mut session, &compiler, &program)
+                .reports
+                .into_iter()
+                .next()?;
+            Some((seed, program, report))
         })
         .take(count)
         .collect()
 }
 
 fn bench_oracle_rate(c: &mut Criterion) {
-    let program =
-        RandomProgramGenerator::new(GeneratorConfig::tiny(), trigger_seeds(1)[0]).generate();
     let mut group = c.benchmark_group("reduce_throughput");
     group.sample_size(20);
     group.bench_function("crash_oracle_call", |b| {
-        let mut oracle =
-            CrashOracle::new(buggy_compiler(FrontEndBugClass::TypeInferenceShiftCrash));
-        b.iter(|| std::hint::black_box(oracle.signatures(&program).len()))
-    });
-    group.bench_function("semantic_oracle_call_incremental", |b| {
-        // One long-lived session, as during reduction: after the first call
-        // the semantics cache and CNF memo are warm.
-        let mut oracle =
-            SemanticOracle::new(buggy_compiler(FrontEndBugClass::DefUseDropsParameterWrites));
-        b.iter(|| std::hint::black_box(oracle.signatures(&program).len()))
+        let crash = SeededBug::FrontEnd(FrontEndBugClass::TypeInferenceShiftCrash);
+        let program = crash.trigger_program();
+        let report = crash.detect(&Gauntlet::default(), &program).remove(0);
+        let target = report.dedup_key();
+        let mut oracle = Gauntlet::open_compiler_oracle(&report, crash.build_compiler());
+        b.iter(|| std::hint::black_box(oracle.reproduces(&program, &target)))
     });
     group.bench_function("semantic_oracle_reproduces", |b| {
         // The reducer's hot path: one pass-targeted, verdict-only check of
-        // the finding's own signature per shrink step.
-        let mut oracle =
-            SemanticOracle::new(buggy_compiler(FrontEndBugClass::DefUseDropsParameterWrites));
-        let target = oracle.signatures(&program).remove(0);
+        // the finding's own key per shrink step, through one long-lived
+        // session whose caches are warm after the first call.
+        let (_, program, report) = triggers(1).remove(0);
+        let target = report.dedup_key();
+        let mut oracle = Gauntlet::open_compiler_oracle(&report, SEMANTIC.build_compiler());
         b.iter(|| std::hint::black_box(oracle.reproduces(&program, &target)))
     });
     group.finish();
@@ -70,19 +70,16 @@ fn bench_oracle_rate(c: &mut Criterion) {
 /// that every minimized program still triggers the original bug.
 fn reduction_end_to_end(_c: &mut Criterion) {
     const SEEDS: usize = 8;
-    let seeds = trigger_seeds(SEEDS);
     println!();
     println!("end-to-end ddmin reduction over {SEEDS} bug-triggering programs:");
     let mut total_calls = 0usize;
     let mut total_elapsed = std::time::Duration::ZERO;
-    for &seed in &seeds {
-        let program = RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate();
-        let mut oracle =
-            SemanticOracle::new(buggy_compiler(FrontEndBugClass::DefUseDropsParameterWrites));
-        let target = oracle.signatures(&program).remove(0);
+    for (seed, program, report) in triggers(SEEDS) {
+        let target = report.dedup_key();
+        let mut oracle = Gauntlet::open_compiler_oracle(&report, SEMANTIC.build_compiler());
         let reducer = Reducer::new(ReducerConfig::default());
         let reduction = reducer
-            .reduce(&mut oracle, &program, &target)
+            .reduce(&mut *oracle, &program, &target)
             .expect("seed set triggers the bug");
         // Soundness: the minimized program still triggers the same bug.
         assert!(

@@ -234,6 +234,22 @@ impl BugReport {
             first_line
         )
     }
+
+    /// The pass a translation-validation dedup key names
+    /// (`Semantic|P4c|<pass>|…` or `InvalidTransformation|P4c|<pass>|…`):
+    /// only that pass's snapshot pairs can reproduce the finding.  `None`
+    /// for every other key.
+    pub fn validated_pass(key: &str) -> Option<&str> {
+        let mut fields = key.split('|');
+        let kind = BugKind::from_name(fields.next()?);
+        let platform = Platform::for_label(fields.next()?);
+        let pass = fields.next()?;
+        let validated = matches!(
+            kind,
+            Some(BugKind::Semantic | BugKind::InvalidTransformation)
+        );
+        (validated && platform == Some(Platform::P4c)).then_some(pass)
+    }
 }
 
 /// A de-duplicating collection of findings.

@@ -724,9 +724,9 @@ pub struct HuntReport {
     pub per_worker: Vec<usize>,
     /// Committed findings that could not be reduced despite
     /// [`HuntConfig::reduce_reports`] being set (always 0 when reduction is
-    /// off).  Nonzero means an oracle failed to reproduce a finding — a
-    /// signature-format drift between the detection pipeline and
-    /// `p4-reduce`, worth investigating.
+    /// off).  Nonzero means a reduction oracle, which re-runs the detection
+    /// pipeline, failed to reproduce a finding that pipeline filed — worth
+    /// investigating.
     pub reduction_failures: usize,
     /// The coverage block (present iff [`HuntConfig::coverage`] was set).
     pub coverage: Option<CoverageSummary>,
@@ -1295,21 +1295,16 @@ where
             // through their own oracle: same mutation stream as the
             // detection, so a candidate is accepted only when the identical
             // finding reproduces.
-            let mut oracle: Box<dyn p4_reduce::Oracle> =
-                if matches!(report.technique, Technique::MetamorphicMutation) {
-                    let options = self
-                        .config
-                        .mutation
-                        .clone()
-                        .expect("metamorphic reports imply mutation config");
-                    Box::new(p4_reduce::MetamorphicOracle::new(
-                        (self.factory)(),
-                        options,
-                        hunt_mutation_seed(seed),
-                    ))
-                } else {
-                    Gauntlet::open_compiler_oracle(report, (self.factory)())
-                };
+            let mut oracle = if matches!(report.technique, Technique::MetamorphicMutation) {
+                let options = self
+                    .config
+                    .mutation
+                    .clone()
+                    .expect("metamorphic reports imply mutation config");
+                Gauntlet::metamorphic_oracle((self.factory)(), options, hunt_mutation_seed(seed))
+            } else {
+                Gauntlet::open_compiler_oracle(report, (self.factory)())
+            };
             self.gauntlet.reduce_report(&mut *oracle, program, report);
         }
     }

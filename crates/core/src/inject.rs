@@ -10,7 +10,8 @@
 //! programs may or may not hit it, exactly as in the original campaign).
 
 use crate::bugs::{BugReport, CompilerArea, Platform};
-use crate::pipeline::Gauntlet;
+use crate::oracle::{files, OpenCompilerOracle};
+use crate::pipeline::{Gauntlet, GauntletOptions};
 use p4_ir::builder;
 use p4_ir::{
     ActionDecl, ActionRef, BinOp, Block, Declaration, Direction, Expr, FunctionDecl, KeyElement,
@@ -178,22 +179,21 @@ impl SeededBug {
     /// detects the bug is the technique that must keep reproducing it while
     /// `p4-reduce` shrinks the trigger program.
     pub fn oracle(self, max_tests: usize) -> Box<dyn p4_reduce::Oracle> {
-        use p4_reduce::{CrashOracle, MetamorphicOracle, SemanticOracle, TestgenOracle};
         match self {
-            SeededBug::FrontEnd(bug) if bug.is_crash_class() => {
-                Box::new(CrashOracle::new(self.build_compiler()))
-            }
-            SeededBug::FrontEnd(_) => Box::new(SemanticOracle::new(self.build_compiler())),
-            SeededBug::Driver(_) => Box::new(MetamorphicOracle::new(
+            SeededBug::FrontEnd(_) => Box::new(OpenCompilerOracle::new(self.build_compiler())),
+            SeededBug::Driver(_) => Gauntlet::metamorphic_oracle(
                 self.build_compiler(),
                 MetamorphicOptions::default(),
                 CAMPAIGN_MUTATION_SEED,
-            )),
+            ),
             SeededBug::BackEnd(bug) => {
                 let target = TargetRegistry::builtin()
                     .build_seeded(bug.backend().target_name(), Some(bug))
                     .expect("builtin targets are registered");
-                Box::new(TestgenOracle::new(target, max_tests))
+                let gauntlet = Gauntlet::new(GauntletOptions { max_tests });
+                Box::new(move |program: &Program, key: &str| {
+                    files(&gauntlet.check_target(&*target, program).reports, key)
+                })
             }
         }
     }
@@ -508,10 +508,8 @@ mod tests {
     }
 
     /// The contract that makes reduction sound: for every seeded bug class,
-    /// the signature the `p4-reduce` oracle computes for the trigger
-    /// program is exactly the `dedup_key` of the report the detection
-    /// pipeline files.  This pins the two crates' signature formats
-    /// together (they cannot share code without a dependency cycle).
+    /// the class's oracle reproduces, on the trigger program, the
+    /// `dedup_key` of every report its detection files.
     #[test]
     fn oracle_signatures_match_pipeline_dedup_keys() {
         let gauntlet = Gauntlet::default();
@@ -520,14 +518,12 @@ mod tests {
             let reports = bug.detect(&gauntlet, &program);
             assert!(!reports.is_empty(), "{}: trigger not detected", bug.name());
             let mut oracle = bug.oracle(gauntlet.options.max_tests);
-            let signatures = oracle.signatures(&program);
             for report in &reports {
                 assert!(
-                    signatures.contains(&report.dedup_key()),
-                    "{}: dedup key `{}` not among oracle signatures {:?}",
+                    oracle.reproduces(&program, &report.dedup_key()),
+                    "{}: the oracle does not reproduce `{}`",
                     bug.name(),
-                    report.dedup_key(),
-                    signatures
+                    report.dedup_key()
                 );
             }
         }

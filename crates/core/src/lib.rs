@@ -21,13 +21,18 @@
 //!
 //! Test-case reduction (`p4-reduce`) plugs in underneath: campaigns run
 //! with reduction enabled attach a delta-debugged minimal reproducer to
-//! every finding, reproducing the paper's reporting workflow (§7).
+//! every finding, reproducing the paper's reporting workflow (§7).  The
+//! reduction oracles ([`Gauntlet::open_compiler_oracle`],
+//! [`Gauntlet::metamorphic_oracle`], [`SeededBug::oracle`]) live here and
+//! re-run the detection pipeline on every shrink candidate, matching
+//! [`BugReport::dedup_key`].
 
 pub mod bugs;
 pub mod campaign;
 pub mod corpus;
 pub mod inject;
 pub mod json_report;
+mod oracle;
 pub mod pipeline;
 pub mod report;
 

@@ -18,9 +18,12 @@ use p4_mutate::{
     MetamorphicChecker, MetamorphicFinding, MetamorphicFindingKind, MetamorphicOptions,
     MutationCoverage,
 };
-use p4_reduce::{CrashOracle, Oracle, Reducer, ReducerConfig, SemanticOracle};
-use p4_symbolic::{generate_tests, Equivalence, EquivalenceError, ValidationSession};
-use p4c::{CompileError, CompileResult, Compiler, PassArea};
+use p4_reduce::{Oracle, Reducer, ReducerConfig};
+use p4_symbolic::{
+    difference_headline, generate_tests, Equivalence, EquivalenceError, PairVerdict,
+    ValidationSession,
+};
+use p4c::{CompileError, CompileResult, Compiler, PassArea, PassSnapshot};
 use smt::Value;
 use std::collections::{BTreeMap, BTreeSet};
 use targets::{drive_target, testgen_options, Target, TargetError, TargetFinding};
@@ -91,19 +94,6 @@ impl Gauntlet {
         Gauntlet { options }
     }
 
-    /// Builds the bug oracle matching a finding from the open-compiler
-    /// pipeline: crash-like findings re-run only the compiler driver (the
-    /// cheap oracle); semantic and invalid-transformation findings re-run
-    /// per-pass translation validation, sharing one incremental
-    /// [`ValidationSession`] across all shrink steps.
-    pub fn open_compiler_oracle(report: &BugReport, compiler: Compiler) -> Box<dyn Oracle> {
-        if report.kind.is_crash_like() {
-            Box::new(CrashOracle::new(compiler))
-        } else {
-            Box::new(SemanticOracle::new(compiler))
-        }
-    }
-
     /// Delta-debugs `program` down to a minimal reproducer of `report`
     /// (within the default [`ReducerConfig`] oracle-call budget) and
     /// attaches the result (`minimized` + `reduction` stats) to the report.
@@ -148,31 +138,7 @@ impl Gauntlet {
         program: &Program,
     ) -> ProgramOutcome {
         match compiler.compile(program) {
-            Err(CompileError::Crash {
-                pass,
-                area,
-                message,
-            }) => ProgramOutcome::with_reports(vec![BugReport::new(
-                BugKind::Crash,
-                Platform::P4c,
-                area_of(area),
-                Technique::RandomGeneration,
-                Some(pass),
-                message,
-            )]),
-            Err(CompileError::Rejected { pass, diagnostics }) => {
-                // The program was validated by the reference checker before
-                // generation, so a rejection means the compiler incorrectly
-                // refuses a valid program.
-                ProgramOutcome::with_reports(vec![BugReport::new(
-                    BugKind::Rejection,
-                    Platform::P4c,
-                    area_of_pass(&pass),
-                    Technique::RandomGeneration,
-                    Some(pass),
-                    diagnostics.join("; "),
-                )])
-            }
+            Err(error) => ProgramOutcome::with_reports(vec![compile_error_report(error)]),
             Ok(result) => {
                 let reports = self.validate_translation_in(session, &result);
                 let mut outcome = ProgramOutcome::with_reports(reports);
@@ -201,50 +167,10 @@ impl Gauntlet {
         session: &mut ValidationSession,
         result: &CompileResult,
     ) -> Vec<BugReport> {
-        let mut reports = Vec::new();
-        for (before, after) in result.pass_pairs() {
-            // Re-parse the emitted program; a parse failure is an invalid
-            // transformation (§7.2).
-            if let Err(error) = p4_parser::parse_program(&after.printed) {
-                reports.push(BugReport::new(
-                    BugKind::InvalidTransformation,
-                    Platform::P4c,
-                    area_of(after.area),
-                    Technique::TranslationValidation,
-                    Some(after.pass_name.clone()),
-                    format!("emitted program no longer parses: {error}"),
-                ));
-                continue;
-            }
-            match session.check_pair(&before.program, &after.program) {
-                Ok(Equivalence::Equal) => {}
-                Ok(Equivalence::NotEqual(counterexample)) => {
-                    reports.push(BugReport::new(
-                        BugKind::Semantic,
-                        Platform::P4c,
-                        area_of(after.area),
-                        Technique::TranslationValidation,
-                        Some(after.pass_name.clone()),
-                        format!("{counterexample}"),
-                    ));
-                }
-                Err(EquivalenceError::StructureMismatch { block, detail }) => {
-                    reports.push(BugReport::new(
-                        BugKind::InvalidTransformation,
-                        Platform::P4c,
-                        area_of(after.area),
-                        Technique::TranslationValidation,
-                        Some(after.pass_name.clone()),
-                        format!("structure mismatch in `{block}`: {detail}"),
-                    ));
-                }
-                Err(EquivalenceError::Interpreter(_)) => {
-                    // The interpreter cannot handle this program: skip, as the
-                    // paper does for unsupported constructs (§8).
-                }
-            }
-        }
-        reports
+        result
+            .pass_pairs()
+            .filter_map(|(before, after)| pair_report(session, before, after, false))
+            .collect()
     }
 
     /// The second bug-finding dimension — metamorphic mutation testing
@@ -269,11 +195,11 @@ impl Gauntlet {
         options: &MetamorphicOptions,
         seed: u64,
     ) -> MutationOutcome {
-        let outcome = p4_reduce::metamorphic_findings(checker, program, options, seed);
-        MutationOutcome {
-            reports: outcome.findings.iter().map(metamorphic_report).collect(),
-            coverage: outcome.coverage,
-            mutants_checked: outcome.mutants_checked,
+        match checker.compile_seed(program) {
+            Some(seed_final) => {
+                self.check_mutants_against(checker, &seed_final, program, options, seed)
+            }
+            None => MutationOutcome::default(),
         }
     }
 
@@ -288,10 +214,21 @@ impl Gauntlet {
         options: &MetamorphicOptions,
         seed: u64,
     ) -> MutationOutcome {
-        let outcome =
-            p4_reduce::metamorphic_findings_against(checker, seed_final, program, options, seed);
+        let outcome = checker.check_against(seed_final, program, options, seed);
+        let mut reports = Vec::new();
+        let mut keys = BTreeSet::new();
+        for mut finding in outcome.findings {
+            p4_reduce::minimize_chain(checker, seed_final, program, &mut finding);
+            let report = metamorphic_report(&finding);
+            // Distinct mutants of one seed often minimise to the same chain
+            // and diverging field; keep the first report per dedup key so
+            // the campaign does not commit (and re-reduce) identical ones.
+            if keys.insert(report.dedup_key()) {
+                reports.push(report);
+            }
+        }
         MutationOutcome {
-            reports: outcome.findings.iter().map(metamorphic_report).collect(),
+            reports,
             coverage: outcome.coverage,
             mutants_checked: outcome.mutants_checked,
         }
@@ -480,6 +417,90 @@ impl Gauntlet {
     }
 }
 
+/// Crash detection (paper §4): a failed compile as a crash or rejection
+/// report.  Programs are well-typed by construction, so a rejection means
+/// the compiler incorrectly refuses a valid program.
+pub(crate) fn compile_error_report(error: CompileError) -> BugReport {
+    match error {
+        CompileError::Crash {
+            pass,
+            area,
+            message,
+        } => BugReport::new(
+            BugKind::Crash,
+            Platform::P4c,
+            area_of(area),
+            Technique::RandomGeneration,
+            Some(pass),
+            message,
+        ),
+        CompileError::Rejected { pass, diagnostics } => BugReport::new(
+            BugKind::Rejection,
+            Platform::P4c,
+            area_of_pass(&pass),
+            Technique::RandomGeneration,
+            Some(pass),
+            diagnostics.join("; "),
+        ),
+    }
+}
+
+/// Translation validation of one snapshot pair (paper §5.2): the emitted
+/// program no longer parses, behaves differently from its predecessor, or
+/// no longer exposes the same block outputs.  With `verdict_only` a
+/// semantic difference is decided without building its counterexample and
+/// the report carries only the headline, the line its dedup key keeps.
+pub(crate) fn pair_report(
+    session: &mut ValidationSession,
+    before: &PassSnapshot,
+    after: &PassSnapshot,
+    verdict_only: bool,
+) -> Option<BugReport> {
+    let report = |kind, message| {
+        Some(BugReport::new(
+            kind,
+            Platform::P4c,
+            area_of(after.area),
+            Technique::TranslationValidation,
+            Some(after.pass_name.clone()),
+            message,
+        ))
+    };
+    // A parse failure is an invalid transformation (§7.2).
+    if let Err(error) = p4_parser::parse_program(&after.printed) {
+        return report(
+            BugKind::InvalidTransformation,
+            format!("emitted program no longer parses: {error}"),
+        );
+    }
+    let difference = if verdict_only {
+        session
+            .check_pair_verdict(&before.program, &after.program)
+            .map(|verdict| match verdict {
+                PairVerdict::Equal => None,
+                PairVerdict::Differs { block } => Some(difference_headline(&block)),
+            })
+    } else {
+        session
+            .check_pair(&before.program, &after.program)
+            .map(|equivalence| match equivalence {
+                Equivalence::Equal => None,
+                Equivalence::NotEqual(counterexample) => Some(format!("{counterexample}")),
+            })
+    };
+    match difference {
+        Ok(None) => None,
+        Ok(Some(message)) => report(BugKind::Semantic, message),
+        Err(EquivalenceError::StructureMismatch { block, detail }) => report(
+            BugKind::InvalidTransformation,
+            format!("structure mismatch in `{block}`: {detail}"),
+        ),
+        // The interpreter cannot handle this program: skip, as the paper
+        // does for unsupported constructs (§8).
+        Err(EquivalenceError::Interpreter(_)) => None,
+    }
+}
+
 /// The result of checking one seed program's mutant family
 /// ([`Gauntlet::check_mutants`]).
 #[derive(Debug, Clone, Default)]
@@ -492,9 +513,7 @@ pub struct MutationOutcome {
     pub mutants_checked: usize,
 }
 
-/// Packages a metamorphic finding as a [`BugReport`].  First message lines
-/// stay in lock-step with `p4_reduce::metamorphic_signature`, which the
-/// seeded-bug signature test pins.
+/// Packages a metamorphic finding as a [`BugReport`].
 fn metamorphic_report(finding: &MetamorphicFinding) -> BugReport {
     match finding.kind {
         MetamorphicFindingKind::Divergence => BugReport::new(

@@ -100,9 +100,9 @@ impl MetamorphicFinding {
         chain_key(&self.chain)
     }
 
-    /// The finding's first message line — the de-duplication anchor shared
-    /// by `gauntlet-core`'s `BugReport::dedup_key` and `p4-reduce`'s oracle
-    /// signatures.  Divergences are keyed by mutator chain + diverging
+    /// The finding's first message line — the de-duplication anchor
+    /// `gauntlet-core` keys its report on (`BugReport::dedup_key`), so
+    /// reduction and per-seed de-duplication both read it.  Divergences are keyed by mutator chain + diverging
     /// field; crashes and rejections keep the compiler's own first line so
     /// they collapse with the same defect found by plain crash detection.
     pub fn headline(&self) -> String {
@@ -271,17 +271,9 @@ impl MetamorphicChecker {
         self.compiler.compile(program).ok().map(|r| r.program)
     }
 
-    /// Re-checks one recorded chain against `program`.
-    pub fn check_chain(&mut self, program: &Program, steps: &[AppliedMutation]) -> ChainOutcome {
-        let Some(seed_final) = self.compile_seed(program) else {
-            return ChainOutcome::Skipped;
-        };
-        self.check_chain_against(&seed_final, program, steps)
-    }
-
-    /// [`MetamorphicChecker::check_chain`] with the seed's compiled form
-    /// supplied by the caller — the per-probe cost is then one mutant
-    /// compile instead of two full pipelines.
+    /// Re-checks one recorded chain against `program`, whose compiled form
+    /// the caller supplies as `seed_final` — the per-probe cost is then one
+    /// mutant compile instead of two full pipelines.
     pub fn check_chain_against(
         &mut self,
         seed_final: &Program,
@@ -350,8 +342,9 @@ mod tests {
     #[test]
     fn empty_chain_on_the_same_program_is_equivalent() {
         let mut checker = MetamorphicChecker::new(Compiler::reference());
+        let seed_final = checker.compile_seed(&seed_program()).expect("compiles");
         assert!(matches!(
-            checker.check_chain(&seed_program(), &[]),
+            checker.check_chain_against(&seed_final, &seed_program(), &[]),
             ChainOutcome::Equivalent
         ));
     }

@@ -1,57 +1,27 @@
-//! The metamorphic reduction oracle and chain minimisation.
+//! Mutation-chain minimisation for metamorphic findings.
 //!
 //! A metamorphic finding has *two* things to shrink: the mutation chain
-//! that produced the diverging mutant, and the seed program itself.  This
-//! module owns both, in that order:
-//!
-//! 1. **Chain minimisation** ([`minimize_chain`]) — the applied-mutation
-//!    chain is ddmin-ed first: drop subsets of mutations (replaying the
-//!    survivors with their recorded per-step seeds) while the mutant keeps
-//!    diverging on the same output field.  A four-step chain whose opaque
-//!    guard alone triggers the bug reports as `OpaqueGuard`, not as a
-//!    four-mutator pile-up — which is also what keys the finding for
-//!    de-duplication.
-//! 2. **Program reduction** ([`MetamorphicOracle`]) — the standard
-//!    [`crate::Reducer`] then shrinks the seed program through an oracle
-//!    that re-runs the full metamorphic search (same mutant family, same
-//!    chain minimisation) on every candidate, so a candidate is only
-//!    accepted when it still produces the *identical* dedup key.
-//!
-//! [`metamorphic_findings`] is the shared detection path: both
-//! `gauntlet-core`'s `Gauntlet::check_mutants` and the oracle go through
-//! it, which keeps report dedup keys and oracle signatures in lock-step by
-//! construction.
+//! that produced the diverging mutant, and the seed program itself.  The
+//! chain comes first ([`minimize_chain`]): drop subsets of mutations
+//! (replaying the survivors with their recorded per-step seeds) while the
+//! mutant keeps diverging on the same output field.  A four-step chain
+//! whose opaque guard alone triggers the bug reports as `OpaqueGuard`, not
+//! as a four-mutator pile-up — which is also what keys the finding for
+//! de-duplication.  The seed program then shrinks through the standard
+//! [`crate::Reducer`] under an oracle that re-runs the whole metamorphic
+//! detection, chain minimisation included.
 
 use crate::ddmin::ddmin;
-use crate::oracle::{bug_signature, Oracle, PLATFORM_P4C};
 use p4_ir::Program;
-use p4_mutate::{
-    ChainOutcome, MetamorphicChecker, MetamorphicFinding, MetamorphicFindingKind,
-    MetamorphicOptions, MetamorphicOutcome,
-};
+use p4_mutate::{ChainOutcome, MetamorphicChecker, MetamorphicFinding, MetamorphicFindingKind};
 
 /// Ddmin-shrinks a divergence finding's mutation chain in place: mutations
 /// are dropped while the replayed remainder still diverges on the same
-/// output field.  Crash/rejection findings are left alone (their dedup key
-/// is the compiler's own message, not the chain).
+/// output field.  `seed_final` is the seed program's compiled form, which
+/// every probe compares against, so a probe costs one mutant compile.
+/// Crash/rejection findings are left alone (their dedup key is the
+/// compiler's own message, not the chain).
 pub fn minimize_chain(
-    checker: &mut MetamorphicChecker,
-    program: &Program,
-    finding: &mut MetamorphicFinding,
-) {
-    if finding.kind != MetamorphicFindingKind::Divergence || finding.chain.len() < 2 {
-        return;
-    }
-    // The seed's compiled form is invariant across probes: compile it once,
-    // so each ddmin probe costs one mutant compile, not two full pipelines.
-    let Some(seed_final) = checker.compile_seed(program) else {
-        return;
-    };
-    minimize_chain_against(checker, &seed_final, program, finding);
-}
-
-/// [`minimize_chain`] with the seed's compiled form supplied by the caller.
-pub fn minimize_chain_against(
     checker: &mut MetamorphicChecker,
     seed_final: &Program,
     program: &Program,
@@ -83,151 +53,5 @@ pub fn minimize_chain_against(
             finding.field = Some(field);
             finding.detail = detail;
         }
-    }
-}
-
-/// Runs the metamorphic checker on `program` and minimises every divergence
-/// chain.  This is the one detection path shared by the campaign pipeline
-/// and [`MetamorphicOracle::signatures`]; the seed is compiled exactly once
-/// for the whole check-plus-minimise run.
-pub fn metamorphic_findings(
-    checker: &mut MetamorphicChecker,
-    program: &Program,
-    options: &MetamorphicOptions,
-    seed: u64,
-) -> MetamorphicOutcome {
-    let Some(seed_final) = checker.compile_seed(program) else {
-        return MetamorphicOutcome::default();
-    };
-    metamorphic_findings_against(checker, &seed_final, program, options, seed)
-}
-
-/// [`metamorphic_findings`] with the seed's compiled form supplied by the
-/// caller (campaign workers reuse the open-compiler check's compile).
-pub fn metamorphic_findings_against(
-    checker: &mut MetamorphicChecker,
-    seed_final: &Program,
-    program: &Program,
-    options: &MetamorphicOptions,
-    seed: u64,
-) -> MetamorphicOutcome {
-    let mut outcome = checker.check_against(seed_final, program, options, seed);
-    for finding in &mut outcome.findings {
-        minimize_chain_against(checker, seed_final, program, finding);
-    }
-    // Distinct mutants of one seed often minimise to the same chain and
-    // diverging field; keep one finding per dedup key so the campaign does
-    // not commit (and re-reduce) byte-identical reports.
-    let mut seen = std::collections::BTreeSet::new();
-    outcome
-        .findings
-        .retain(|finding| seen.insert(metamorphic_signature(finding)));
-    outcome
-}
-
-/// The campaign-layer dedup key of a metamorphic finding.  Must stay in
-/// lock-step with how `gauntlet-core` packages the finding as a
-/// `BugReport` (pinned by the seeded-bug signature test in that crate).
-pub fn metamorphic_signature(finding: &MetamorphicFinding) -> String {
-    let kind = match finding.kind {
-        MetamorphicFindingKind::Divergence => "Metamorphic",
-        MetamorphicFindingKind::Crash => "Crash",
-        MetamorphicFindingKind::Rejection => "Rejection",
-    };
-    bug_signature(
-        kind,
-        PLATFORM_P4C,
-        finding.pass.as_deref(),
-        &finding.headline(),
-    )
-}
-
-/// Metamorphic-mutation oracle: the candidate program's mutant family
-/// (derived with the *same* mutation-stream seed the detecting campaign
-/// used) still contains a mutant whose compiled form diverges from the
-/// candidate's — with the identical minimised chain and diverging field.
-pub struct MetamorphicOracle {
-    checker: MetamorphicChecker,
-    options: MetamorphicOptions,
-    seed: u64,
-}
-
-impl MetamorphicOracle {
-    pub fn new(
-        compiler: p4c::Compiler,
-        options: MetamorphicOptions,
-        seed: u64,
-    ) -> MetamorphicOracle {
-        MetamorphicOracle {
-            checker: MetamorphicChecker::new(compiler),
-            options,
-            seed,
-        }
-    }
-}
-
-impl Oracle for MetamorphicOracle {
-    fn name(&self) -> &str {
-        "metamorphic"
-    }
-
-    fn signatures(&mut self, program: &Program) -> Vec<String> {
-        metamorphic_findings(&mut self.checker, program, &self.options, self.seed)
-            .findings
-            .iter()
-            .map(metamorphic_signature)
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use p4_ir::{builder, Block, Expr, Statement};
-    use p4c::{Compiler, DriverBugClass};
-
-    fn corrupted_compiler() -> Compiler {
-        let mut compiler = Compiler::reference();
-        compiler.seed_input_corruption(DriverBugClass::SnapshotDropsFinalWrite);
-        compiler
-    }
-
-    fn trigger() -> p4_ir::Program {
-        builder::v1model_program(
-            vec![],
-            Block::new(vec![
-                Statement::assign(Expr::dotted(&["meta", "flag"]), Expr::uint(1, 8)),
-                Statement::assign(Expr::dotted(&["hdr", "h", "b"]), Expr::uint(2, 8)),
-                Statement::assign(Expr::dotted(&["hdr", "h", "a"]), Expr::uint(7, 8)),
-            ]),
-        )
-    }
-
-    #[test]
-    fn oracle_is_silent_on_the_reference_compiler() {
-        let mut oracle = MetamorphicOracle::new(
-            Compiler::reference(),
-            MetamorphicOptions::default(),
-            p4_mutate::CAMPAIGN_MUTATION_SEED,
-        );
-        assert!(oracle.signatures(&trigger()).is_empty());
-    }
-
-    #[test]
-    fn oracle_convicts_the_pre_snapshot_corruption_with_a_minimised_chain() {
-        let mut oracle = MetamorphicOracle::new(
-            corrupted_compiler(),
-            MetamorphicOptions::default(),
-            p4_mutate::CAMPAIGN_MUTATION_SEED,
-        );
-        let signatures = oracle.signatures(&trigger());
-        assert!(
-            signatures
-                .iter()
-                .any(|s| s.starts_with("Metamorphic|P4c|-|mutation chain `")),
-            "expected a metamorphic divergence, got {signatures:?}"
-        );
-        // Determinism: the oracle is a pure function of the program.
-        assert_eq!(signatures, oracle.signatures(&trigger()));
     }
 }

@@ -9,13 +9,27 @@
 //! configuration) — which is what lets the campaign engine shard reduction
 //! across worker threads and still commit byte-identical reports.
 
-use crate::oracle::Oracle;
 use crate::passes::{
     statement_count, DeclarationDdmin, ExprSimplify, ReductionPass, StatementDdmin, StructurePrune,
 };
 use p4_ir::Program;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
+
+/// A bug oracle: re-runs one detection technique on a candidate program.
+///
+/// Implemented for every `FnMut(&Program, &str) -> bool` closure.
+pub trait Oracle {
+    /// Whether `program` still triggers the finding whose de-duplication
+    /// key is `target`.
+    fn reproduces(&mut self, program: &Program, target: &str) -> bool;
+}
+
+impl<F: FnMut(&Program, &str) -> bool> Oracle for F {
+    fn reproduces(&mut self, program: &Program, target: &str) -> bool {
+        self(program, target)
+    }
+}
 
 /// Reduction budget and schedule limits.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -113,8 +127,7 @@ impl Reducer {
     }
 
     /// Reduces `program` to a smaller program that still reproduces
-    /// `target` (a dedup-key signature, see [`crate::bug_signature`])
-    /// through `oracle`.
+    /// `target` (the finding's de-duplication key) through `oracle`.
     ///
     /// Returns `None` when the original program does not reproduce the
     /// target — reduction of a non-reproducing input is meaningless (and a
@@ -187,14 +200,54 @@ impl Reducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{CrashOracle, FnOracle, SemanticOracle};
     use p4_ir::{builder, print_program, Block, Expr, Statement};
+    use p4_symbolic::{PairVerdict, ValidationSession};
     use p4c::{Compiler, FrontEndBugClass};
 
     fn buggy_compiler(class: FrontEndBugClass) -> Compiler {
         let mut compiler = Compiler::reference();
         compiler.replace_pass(class.faulty_pass());
         compiler
+    }
+
+    /// A test-local translation-validation oracle: a finding names the pass
+    /// whose snapshot pair differs and the block it differs in.
+    fn validation_oracle(compiler: Compiler) -> impl FnMut(&Program, &str) -> bool {
+        let mut session = ValidationSession::new();
+        move |program: &Program, target: &str| {
+            differences(&compiler, &mut session, program)
+                .iter()
+                .any(|finding| finding == target)
+        }
+    }
+
+    fn differences(
+        compiler: &Compiler,
+        session: &mut ValidationSession,
+        program: &Program,
+    ) -> Vec<String> {
+        let Ok(result) = compiler.compile(program) else {
+            return Vec::new();
+        };
+        result
+            .pass_pairs()
+            .filter_map(|(before, after)| {
+                match session.check_pair_verdict(&before.program, &after.program) {
+                    Ok(PairVerdict::Differs { block }) => {
+                        Some(format!("{} differs in `{block}`", after.pass_name))
+                    }
+                    _ => None,
+                }
+            })
+            .collect()
+    }
+
+    fn first_difference(class: FrontEndBugClass, program: &Program) -> String {
+        let compiler = buggy_compiler(class);
+        differences(&compiler, &mut ValidationSession::new(), program)
+            .into_iter()
+            .next()
+            .expect("trigger reproduces")
     }
 
     /// A trigger statement buried in noise reduces down to (almost) just
@@ -214,10 +267,9 @@ mod tests {
         ));
         let program = builder::v1model_program(vec![], Block::new(statements));
 
-        let mut oracle =
-            SemanticOracle::new(buggy_compiler(FrontEndBugClass::DefUseDropsParameterWrites));
-        let signatures = oracle.signatures(&program);
-        let target = signatures.first().expect("trigger reproduces").clone();
+        let class = FrontEndBugClass::DefUseDropsParameterWrites;
+        let target = first_difference(class, &program);
+        let mut oracle = validation_oracle(buggy_compiler(class));
 
         let reducer = Reducer::new(ReducerConfig::default());
         let reduction = reducer
@@ -245,13 +297,9 @@ mod tests {
             ]),
         );
         let run = || {
-            let mut oracle =
-                SemanticOracle::new(buggy_compiler(FrontEndBugClass::DefUseDropsParameterWrites));
-            let target = oracle
-                .signatures(&program)
-                .first()
-                .expect("reproduces")
-                .clone();
+            let class = FrontEndBugClass::DefUseDropsParameterWrites;
+            let target = first_difference(class, &program);
+            let mut oracle = validation_oracle(buggy_compiler(class));
             let reducer = Reducer::new(ReducerConfig::default());
             let reduction = reducer
                 .reduce(&mut oracle, &program, &target)
@@ -266,10 +314,10 @@ mod tests {
     #[test]
     fn refuses_non_reproducing_input() {
         let program = builder::trivial_program();
-        let mut oracle = CrashOracle::new(Compiler::reference());
+        let mut oracle = validation_oracle(Compiler::reference());
         let reducer = Reducer::new(ReducerConfig::default());
         assert!(reducer
-            .reduce(&mut oracle, &program, "Crash|P4c|X|nope")
+            .reduce(&mut oracle, &program, "SimplifyDefUse differs in `ingress`")
             .is_none());
     }
 
@@ -285,10 +333,10 @@ mod tests {
             ),
         );
         let mut calls = 0usize;
-        let mut oracle = FnOracle::new("counting", |_p: &p4_ir::Program| {
+        let mut oracle = |_: &Program, _: &str| {
             calls += 1;
-            vec!["always".to_string()]
-        });
+            true
+        };
         let reducer = Reducer::new(ReducerConfig {
             max_oracle_calls: 10,
             max_rounds: 8,

@@ -6,7 +6,8 @@
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
 use p4_ir::{print_program, Program};
 use p4_parser::parse_program;
-use p4_reduce::{statement_count, Oracle, Reducer, ReducerConfig, SemanticOracle};
+use p4_reduce::{statement_count, Oracle, Reducer, ReducerConfig};
+use p4_symbolic::{PairVerdict, ValidationSession};
 use p4c::{Compiler, FrontEndBugClass};
 use proptest::prelude::*;
 
@@ -16,15 +17,45 @@ fn buggy_compiler() -> Compiler {
     compiler
 }
 
+/// The findings of a test-local translation-validation oracle: each names
+/// the pass whose snapshot pair differs and the block it differs in.
+fn differences(session: &mut ValidationSession, program: &Program) -> Vec<String> {
+    let Ok(result) = buggy_compiler().compile(program) else {
+        return Vec::new();
+    };
+    result
+        .pass_pairs()
+        .filter_map(|(before, after)| {
+            match session.check_pair_verdict(&before.program, &after.program) {
+                Ok(PairVerdict::Differs { block }) => {
+                    Some(format!("{} differs in `{block}`", after.pass_name))
+                }
+                _ => None,
+            }
+        })
+        .collect()
+}
+
+/// An oracle over [`differences`], with one session across shrink steps.
+fn oracle() -> impl FnMut(&Program, &str) -> bool {
+    let mut session = ValidationSession::new();
+    move |program: &Program, target: &str| {
+        differences(&mut session, program)
+            .iter()
+            .any(|finding| finding == target)
+    }
+}
+
 /// Reduces the program generated by `seed` when it triggers the seeded
 /// bug; returns `None` for seeds whose program compiles cleanly.
 fn reduce_seed(seed: u64) -> Option<(Program, Program, String)> {
     let program = RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate();
-    let mut oracle = SemanticOracle::new(buggy_compiler());
-    let target = oracle.signatures(&program).first()?.clone();
+    let target = differences(&mut ValidationSession::new(), &program)
+        .into_iter()
+        .next()?;
     let reducer = Reducer::new(ReducerConfig::default());
     let reduction = reducer
-        .reduce(&mut oracle, &program, &target)
+        .reduce(&mut oracle(), &program, &target)
         .expect("signature was just observed");
     Some((program, reduction.program, target))
 }
@@ -52,9 +83,8 @@ proptest! {
     #[test]
     fn reduced_programs_reproduce_the_original_signature(seed in 0u64..4096) {
         if let Some((original, reduced, target)) = reduce_seed(seed) {
-            let mut oracle = SemanticOracle::new(buggy_compiler());
             prop_assert!(
-                oracle.reproduces(&reduced, &target),
+                oracle().reproduces(&reduced, &target),
                 "seed {}: lost `{}`:\n{}", seed, target, print_program(&reduced)
             );
             prop_assert!(statement_count(&reduced) <= statement_count(&original), "seed {}", seed);

@@ -55,7 +55,7 @@ impl Counterexample {
 
 /// The first line of a [`Counterexample`]'s rendering, which names only the
 /// differing block.  Translation-validation dedup keys keep just this line,
-/// so the reduction oracle builds its signatures from it without a
+/// so a verdict-only check can report a difference without a
 /// counterexample.
 pub fn difference_headline(block: &str) -> String {
     format!("semantic difference in block `{block}`:")

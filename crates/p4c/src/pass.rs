@@ -11,7 +11,9 @@
 
 use crate::error::{CompileError, Diagnostic};
 use p4_ir::{print_program, Program};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
 
 /// Which part of the compiler a pass belongs to.  Table 3 of the paper
 /// groups detected bugs by exactly these areas.
@@ -264,8 +266,11 @@ impl Compiler {
         for (index, pass) in self.passes.iter().enumerate() {
             gauntlet_telemetry::count_pass(pass.name());
             let mut working = current.clone();
+            silence_pass_panics();
+            IN_PASS.set(true);
             let outcome =
                 catch_unwind(AssertUnwindSafe(|| pass.run(&mut working).map(|_| working)));
+            IN_PASS.set(false);
             match outcome {
                 Err(panic) => {
                     return Err(CompileError::Crash {
@@ -320,6 +325,27 @@ impl Compiler {
             coverage: crate::coverage::PassCoverage::new(),
         })
     }
+}
+
+thread_local! {
+    /// Set while a pass runs under the driver's `catch_unwind`.
+    static IN_PASS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Installs, once per process, a panic hook that stays silent for pass
+/// panics — the driver turns each into a [`CompileError::Crash`] carrying
+/// the message, and a crash-bug hunt catches thousands — and hands every
+/// other panic to the hook it replaced.
+fn silence_pass_panics() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !IN_PASS.get() {
+                previous(info);
+            }
+        }));
+    });
 }
 
 fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {

@@ -14,10 +14,9 @@
 //!   test-generation oracle must adopt, the block tests are generated for).
 //!
 //! [`drive_target`] is the one shared "compile, generate tests, replay,
-//! summarise" driver.  Both the detection pipeline (`gauntlet-core`) and the
-//! reduction oracles (`p4-reduce`) call it, which pins their finding
-//! messages — and therefore their de-duplication keys — together by
-//! construction.
+//! summarise" driver.  The detection pipeline (`gauntlet-core`) calls it,
+//! and its reduction oracles re-run that pipeline, so both see the same
+//! finding messages and therefore the same de-duplication keys.
 
 use crate::concrete::UndefinedPolicy;
 use crate::harness::{run_batch, TestOutcome, TestReport};
@@ -175,8 +174,7 @@ pub trait Target: fmt::Debug {
 }
 
 /// A platform-agnostic finding produced by [`drive_target`].  The caller
-/// decides how to package it (a `BugReport` in `gauntlet-core`, a dedup-key
-/// signature in `p4-reduce`).
+/// decides how to package it (a `BugReport` in `gauntlet-core`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TargetFinding {
     /// The target's compiler crashed.

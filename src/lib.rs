@@ -15,7 +15,7 @@
 //! | [`p4_mutate`] | semantics-preserving mutation: the metamorphic (EMI-style) oracle (§8) |
 //! | [`smt`] | the QF_BV solver (terms → bit-blasting → CDCL SAT) |
 //! | [`p4_symbolic`] | symbolic interpretation, equivalence, test generation (§5–6) |
-//! | [`p4_reduce`] | delta-debugging test-case reduction with pluggable bug oracles (§7) |
+//! | [`p4_reduce`] | delta-debugging test-case reduction behind a one-method `Oracle` trait (§7) |
 //! | [`targets`] | the `Target` trait + registry: BMv2, Tofino, and reference-interpreter back ends |
 //! | [`gauntlet_core`] | the three techniques glued together, plus campaigns |
 //! | [`gauntlet_fleet`] | crash-tolerant multi-process campaigns: coordinator, workers, triage, checkpoint/resume |

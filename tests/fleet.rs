@@ -354,3 +354,23 @@ fn gauntlet_hunt_prints_the_in_process_render_and_refuses_fleet_flags() {
         assert!(String::from_utf8_lossy(&bogus.stderr).contains("unknown target spec `bogus`"));
     }
 }
+
+/// A pass panic is a crash finding, not an error: a quiet hunt over a
+/// crash-class bug prints its report and nothing on stderr.
+#[test]
+fn quiet_crash_hunt_keeps_caught_pass_panics_off_stderr() {
+    let hunt = std::process::Command::new(env!("CARGO_BIN_EXE_gauntlet"))
+        .args([
+            "hunt",
+            "--seeds",
+            "40",
+            "--compiler",
+            "InlineCrashOnConditional",
+            "--quiet",
+        ])
+        .output()
+        .expect("gauntlet runs");
+    assert!(hunt.status.success(), "{hunt:?}");
+    assert!(String::from_utf8_lossy(&hunt.stdout).contains("[Crash/P4C/"));
+    assert_eq!(String::from_utf8_lossy(&hunt.stderr), "");
+}

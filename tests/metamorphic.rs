@@ -407,11 +407,10 @@ fn trigger_program_walkthrough() {
         "chain exceeds the budget: {first_line}"
     );
 
-    // And the minimised key reproduces through the reduction oracle — the
-    // lock-step property program reduction relies on.
+    // And the minimised key reproduces through the reduction oracle, which
+    // program reduction relies on.
     let mut oracle =
-        p4_reduce::MetamorphicOracle::new(corrupted_compiler(), options, CAMPAIGN_MUTATION_SEED);
-    use p4_reduce::Oracle;
+        Gauntlet::metamorphic_oracle(corrupted_compiler(), options, CAMPAIGN_MUTATION_SEED);
     assert!(
         oracle.reproduces(&trigger, &report.dedup_key()),
         "oracle lost the dedup key `{}`",

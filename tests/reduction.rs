@@ -240,19 +240,22 @@ fn reducing_hunt_bytes_are_pinned() {
 }
 
 /// The crash oracle compiles without per-pass snapshots, which it never
-/// reads; its signatures are those of a snapshotting compile.
+/// reads; it reproduces every finding of a snapshotting compile.
 #[test]
 fn crash_oracle_signatures_do_not_need_snapshots() {
-    use p4_reduce::{CrashOracle, Oracle, SemanticOracle};
     let bug = SeededBug::FrontEnd(p4c::FrontEndBugClass::TypeInferenceShiftCrash);
     let program = bug.trigger_program();
-    let snapshotting = SemanticOracle::new(bug.build_compiler()).signatures(&program);
+    let snapshotting = Gauntlet::default()
+        .check_open_compiler(&bug.build_compiler(), &program)
+        .reports;
     assert!(
-        snapshotting.iter().any(|s| s.starts_with("Crash|P4c|")),
+        snapshotting
+            .iter()
+            .any(|report| report.dedup_key().starts_with("Crash|P4c|")),
         "the trigger must crash: {snapshotting:?}"
     );
-    assert_eq!(
-        CrashOracle::new(bug.build_compiler()).signatures(&program),
-        snapshotting
-    );
+    for report in &snapshotting {
+        let mut oracle = Gauntlet::open_compiler_oracle(report, bug.build_compiler());
+        assert!(oracle.reproduces(&program, &report.dedup_key()));
+    }
 }
