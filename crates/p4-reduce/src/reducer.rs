@@ -5,7 +5,7 @@
 //! through `p4_check` re-typechecking and the bug oracle.  Everything is
 //! deterministic: the schedule is fixed, the passes are pure, and the
 //! budget is counted in oracle calls rather than wall-clock time, so the
-//! minimised program is a pure function of (program, target signature,
+//! minimised program is a pure function of (program, target key,
 //! configuration) — which is what lets the campaign engine shard reduction
 //! across worker threads and still commit byte-identical reports.
 
@@ -86,8 +86,8 @@ impl ReductionStats {
 /// The outcome of a successful reduction.
 #[derive(Debug, Clone)]
 pub struct Reduction {
-    /// The minimised program; it typechecks and reproduces the target
-    /// signature through the oracle it was reduced under.
+    /// The minimised program; it typechecks and reproduces the target key
+    /// through the oracle it was reduced under.
     pub program: Program,
     pub stats: ReductionStats,
     /// Wall-clock time of the run (informational; never part of rendered
