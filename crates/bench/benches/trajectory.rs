@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo bench -p bench --bench trajectory -- \
-//!     [--seeds N] [--out PATH] [--compare BASELINE|auto] [--portfolio 1]
+//!     [--seeds N] [--out PATH] [--compare BASELINE|auto]
 //! ```
 //!
 //! * default — run the workload (50 seeds) and print the JSON to stdout;
@@ -62,7 +62,6 @@ use gauntlet_telemetry::ProgressSink;
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
 use p4_symbolic::{CampaignCache, SessionStats, ValidationSession};
 use p4c::{CompileResult, Compiler};
-use smt::PortfolioOptions;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -144,17 +143,13 @@ fn main() {
     let seeds: usize = parse_flag(&args, "--seeds")
         .and_then(|v| v.parse().ok())
         .unwrap_or(50);
-    let portfolio = parse_flag(&args, "--portfolio")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(0)
-        != 0;
     let out = parse_flag(&args, "--out");
     let compare = parse_flag(&args, "--compare");
     // Stderr narration routes through one sink (`--quiet` silences it);
     // stdout stays machine-readable JSON only.
     let progress = ProgressSink::new(!args.iter().any(|a| a == "--quiet"));
 
-    let trajectory = measure(seeds, portfolio);
+    let trajectory = measure(seeds);
     let json = render_json(&trajectory);
     println!("{json}");
     if let Some(path) = out {
@@ -239,7 +234,6 @@ struct ValidateRun {
 
 struct Trajectory {
     seeds: usize,
-    portfolio: bool,
     gen: Stage,
     compile: Stage,
     cold: ValidateRun,
@@ -249,7 +243,6 @@ struct Trajectory {
     cross_epoch: ValidateRun,
     mutate: Stage,
     mutants: u64,
-    portfolio_races: u64,
     /// Relative slowdown (in percent, may be negative under noise) of the
     /// cold-validation workload with a telemetry `Recorder` installed.
     telemetry_overhead_pct: f64,
@@ -291,7 +284,6 @@ impl Trajectory {
 fn validate_all(
     results: &[CompileResult],
     cache: &Arc<CampaignCache>,
-    portfolio: bool,
     samples: &mut Vec<Duration>,
 ) -> ValidateRun {
     let mut pairs = 0u64;
@@ -299,9 +291,6 @@ fn validate_all(
     let start = Instant::now();
     for result in results {
         let mut session = ValidationSession::with_cache(Arc::clone(cache));
-        if portfolio {
-            session.set_portfolio(PortfolioOptions::default());
-        }
         for (before, after) in result.pass_pairs() {
             pairs += 1;
             let query_start = Instant::now();
@@ -335,7 +324,7 @@ fn hunted_compiler() -> Compiler {
         .build_compiler()
 }
 
-fn measure(seeds: usize, portfolio: bool) -> Trajectory {
+fn measure(seeds: usize) -> Trajectory {
     let config = GeneratorConfig::tiny();
 
     // Stage 1: generation (seeds 0..seeds, the hunt's own derivation).
@@ -411,10 +400,10 @@ fn measure(seeds: usize, portfolio: bool) -> Trajectory {
     for _ in 0..5 {
         cache = Arc::new(CampaignCache::new());
         let mut cold_samples = Vec::new();
-        let mut cold_run = validate_all(&results, &cache, portfolio, &mut cold_samples);
+        let mut cold_run = validate_all(&results, &cache, &mut cold_samples);
         cold_run.tail = Tail::of(cold_samples);
         let mut warm_samples = Vec::new();
-        let mut warm_run = validate_all(&results, &cache, portfolio, &mut warm_samples);
+        let mut warm_run = validate_all(&results, &cache, &mut warm_samples);
         warm_run.tail = Tail::of(warm_samples);
         if cold
             .as_ref()
@@ -441,10 +430,10 @@ fn measure(seeds: usize, portfolio: bool) -> Trajectory {
     for _ in 0..5 {
         let barrier_cache = Arc::new(CampaignCache::new());
         let mut sink = Vec::new();
-        let _ = validate_all(&results, &barrier_cache, portfolio, &mut sink);
+        let _ = validate_all(&results, &barrier_cache, &mut sink);
         barrier_cache.epoch_barrier();
         let mut samples = Vec::new();
-        let mut run = validate_all(&results, &barrier_cache, portfolio, &mut samples);
+        let mut run = validate_all(&results, &barrier_cache, &mut samples);
         run.tail = Tail::of(samples);
         if cross_epoch
             .as_ref()
@@ -457,9 +446,6 @@ fn measure(seeds: usize, portfolio: bool) -> Trajectory {
 
     // Stage 4: metamorphic mutation over the same seeds, warm checker.
     let mut checker = MetamorphicChecker::with_cache(hunted_compiler(), Arc::clone(&cache));
-    if portfolio {
-        checker.set_portfolio(PortfolioOptions::default());
-    }
     let options = MetamorphicOptions::default();
     let mut mutants = 0u64;
     let start = Instant::now();
@@ -471,7 +457,6 @@ fn measure(seeds: usize, portfolio: bool) -> Trajectory {
         units: mutants,
         elapsed: start.elapsed(),
     };
-    let portfolio_races = checker.portfolio_races();
 
     // Stage 5: telemetry overhead.  The cold-validation workload (the
     // hottest instrumented path: a Validate span per pair plus a latency
@@ -484,13 +469,13 @@ fn measure(seeds: usize, portfolio: bool) -> Trajectory {
         for _ in 0..5 {
             let cache = Arc::new(CampaignCache::new());
             let mut sink = Vec::new();
-            let run = validate_all(&results, &cache, portfolio, &mut sink);
+            let run = validate_all(&results, &cache, &mut sink);
             uninstrumented = uninstrumented.min(run.stage.elapsed);
 
             let cache = Arc::new(CampaignCache::new());
             let enclosing = gauntlet_telemetry::install(gauntlet_telemetry::Recorder::new());
             let mut sink = Vec::new();
-            let run = validate_all(&results, &cache, portfolio, &mut sink);
+            let run = validate_all(&results, &cache, &mut sink);
             let recorder = gauntlet_telemetry::take().expect("recorder still installed");
             assert!(!recorder.is_empty(), "instrumented run recorded nothing");
             if let Some(previous) = enclosing {
@@ -503,7 +488,6 @@ fn measure(seeds: usize, portfolio: bool) -> Trajectory {
 
     Trajectory {
         seeds,
-        portfolio,
         gen,
         compile,
         cold,
@@ -511,7 +495,6 @@ fn measure(seeds: usize, portfolio: bool) -> Trajectory {
         cross_epoch,
         mutate,
         mutants,
-        portfolio_races,
         telemetry_overhead_pct,
         coverage_overhead_pct,
         compile_distinct_pairs,
@@ -552,9 +535,8 @@ fn render_json(t: &Trajectory) -> String {
         )
     };
     format!(
-        "{{\n  \"schema\": \"gauntlet-trajectory-v1\",\n  \"seeds\": {},\n  \"portfolio\": {},\n  \"gen\": {},\n  \"compile\": {},\n  \"compile_distinct_pairs\": {},\n  \"coverage_overhead_pct\": {:.2},\n  \"validate_cold\": {},\n  \"validate_warm\": {},\n  \"validate_speedup_warm_over_cold\": {:.3},\n  \"validate_cross_epoch\": {},\n  \"validate_speedup_cross_epoch\": {:.3},\n  \"mutate\": {},\n  \"mutants_checked\": {},\n  \"portfolio_races\": {},\n  \"telemetry_overhead_pct\": {:.2}\n}}",
+        "{{\n  \"schema\": \"gauntlet-trajectory-v1\",\n  \"seeds\": {},\n  \"gen\": {},\n  \"compile\": {},\n  \"compile_distinct_pairs\": {},\n  \"coverage_overhead_pct\": {:.2},\n  \"validate_cold\": {},\n  \"validate_warm\": {},\n  \"validate_speedup_warm_over_cold\": {:.3},\n  \"validate_cross_epoch\": {},\n  \"validate_speedup_cross_epoch\": {:.3},\n  \"mutate\": {},\n  \"mutants_checked\": {},\n  \"telemetry_overhead_pct\": {:.2}\n}}",
         t.seeds,
-        t.portfolio,
         stage(&t.gen),
         stage(&t.compile),
         t.compile_distinct_pairs,
@@ -566,7 +548,6 @@ fn render_json(t: &Trajectory) -> String {
         t.cross_epoch_speedup(),
         stage(&t.mutate),
         t.mutants,
-        t.portfolio_races,
         t.telemetry_overhead_pct
     )
 }

@@ -35,7 +35,6 @@ use p4_mutate::{hunt_mutation_seed, MetamorphicChecker, MetamorphicOptions, Muta
 use p4_symbolic::{CacheStats, CampaignCache, SessionStats, ValidationSession};
 use p4c::coverage::PassCoverage;
 use serde::{Deserialize, Serialize};
-use smt::PortfolioOptions;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -365,12 +364,6 @@ pub struct HuntConfig {
     /// cache on or off, at any `--jobs`.  On by default — this is where the
     /// campaign validate-throughput comes from (see `BENCH_pr9.json`).
     pub epoch_cache: bool,
-    /// Race each hard equivalence query across K diverse SAT configurations
-    /// once its incremental solve exceeds a conflict budget (see
-    /// [`smt::PortfolioOptions`]).  Off by default: generated programs
-    /// rarely produce miters hard enough to trigger the race.
-    /// Verdict-preserving, so reports are identical either way.
-    pub portfolio: bool,
     /// Flight-recorder telemetry (`--events` and the heartbeat).  `None`
     /// (the default) records nothing and pays nothing: every instrumentation
     /// hook in the stack is a single thread-local read.  With options set,
@@ -396,7 +389,6 @@ impl Default for HuntConfig {
             coverage: None,
             mutation: None,
             epoch_cache: true,
-            portfolio: false,
             telemetry: None,
         }
     }
@@ -677,9 +669,6 @@ pub struct CacheSummary {
     /// (translation validation and metamorphic checkers alike, corpus
     /// replay included).
     pub sessions: SessionStats,
-    /// Queries that escalated to a portfolio race (0 unless
-    /// [`HuntConfig::portfolio`] is set and a hard miter appeared).
-    pub portfolio_races: u64,
 }
 
 impl CacheSummary {
@@ -689,7 +678,6 @@ impl CacheSummary {
         self.epochs += other.epochs;
         self.stats += other.stats;
         self.sessions += other.sessions;
-        self.portfolio_races += other.portfolio_races;
     }
 }
 
@@ -736,8 +724,8 @@ pub struct HuntReport {
     /// one; the fleet coordinator fills it in on the merged report when the
     /// spec enables worker diversity.
     pub diversity: Option<DiversitySummary>,
-    /// Epoch-cache and portfolio counters (present iff
-    /// [`HuntConfig::epoch_cache`] or [`HuntConfig::portfolio`] was set).
+    /// Epoch-cache counters (present iff [`HuntConfig::epoch_cache`] was
+    /// set).
     /// Run-descriptive like `elapsed`: not part of [`HuntReport::render`].
     pub cache: Option<CacheSummary>,
     /// The aggregated flight recorder (present iff
@@ -845,21 +833,6 @@ impl HuntReport {
         report.coverage = self.coverage.clone();
         report.mutation = self.mutation.clone();
         report
-    }
-}
-
-/// Session counters: one [`SeedWorker`]'s, or the pool-wide sum (each
-/// worker adds its totals once, when it finishes an epoch or the replay).
-#[derive(Default, Clone, Copy)]
-struct SessionTally {
-    sessions: SessionStats,
-    portfolio_races: u64,
-}
-
-impl SessionTally {
-    fn add(&mut self, other: SessionTally) {
-        self.sessions += other.sessions;
-        self.portfolio_races += other.portfolio_races;
     }
 }
 
@@ -1124,12 +1097,12 @@ fn replay_corpus<F>(
     factory: &F,
     cache: Option<&Arc<CampaignCache>>,
     commit: &mut HuntCommit,
-) -> SessionTally
+) -> SessionStats
 where
     F: Fn() -> p4c::Compiler,
 {
     let Some(mut guided) = commit.guided.take() else {
-        return SessionTally::default();
+        return SessionStats::default();
     };
     let mut worker = SeedWorker::new(config, factory, cache);
     let hunted = config.seed_start..config.seed_start + config.seed_count as u64;
@@ -1180,7 +1153,8 @@ struct SeedWorker<'a, F> {
     /// dimensions share interpretations; verdicts are cache-independent,
     /// so sharing preserves the byte-identical-across-jobs contract.
     checker: Option<MetamorphicChecker>,
-    tally: SessionTally,
+    /// Session counters of every program this worker validated.
+    tally: SessionStats,
 }
 
 impl<'a, F> SeedWorker<'a, F>
@@ -1193,15 +1167,9 @@ where
         cache: Option<&'a Arc<CampaignCache>>,
     ) -> SeedWorker<'a, F> {
         let registry = TargetRegistry::builtin();
-        let checker = config.mutation.as_ref().map(|_| {
-            let mut checker = match cache {
-                Some(cache) => MetamorphicChecker::with_cache(factory(), Arc::clone(cache)),
-                None => MetamorphicChecker::new(factory()),
-            };
-            if config.portfolio {
-                checker.set_portfolio(PortfolioOptions::default());
-            }
-            checker
+        let checker = config.mutation.as_ref().map(|_| match cache {
+            Some(cache) => MetamorphicChecker::with_cache(factory(), Arc::clone(cache)),
+            None => MetamorphicChecker::new(factory()),
         });
         SeedWorker {
             config,
@@ -1215,7 +1183,7 @@ where
                 .map(|spec| registry.build_spec(spec).expect("specs validated above"))
                 .collect(),
             checker,
-            tally: SessionTally::default(),
+            tally: SessionStats::default(),
         }
     }
 
@@ -1235,9 +1203,6 @@ where
             Some(cache) => ValidationSession::with_cache(Arc::clone(cache)),
             None => ValidationSession::new(),
         };
-        if self.config.portfolio {
-            session.set_portfolio(PortfolioOptions::default());
-        }
         let mut check = || {
             self.gauntlet
                 .check_open_compiler_in(&mut session, &self.compiler, program)
@@ -1248,10 +1213,7 @@ where
         } else {
             (check(), None)
         };
-        self.tally.add(SessionTally {
-            sessions: session.stats(),
-            portfolio_races: session.portfolio_races(),
-        });
+        self.tally += session.stats();
         (outcome, coverage)
     }
 
@@ -1343,13 +1305,10 @@ where
     }
 
     /// This worker's session counters, the metamorphic checker's included.
-    fn into_tally(self) -> SessionTally {
+    fn into_tally(self) -> SessionStats {
         let mut tally = self.tally;
         if let Some(checker) = &self.checker {
-            tally.add(SessionTally {
-                sessions: checker.session_stats(),
-                portfolio_races: checker.portfolio_races(),
-            });
+            tally += checker.session_stats();
         }
         tally
     }
@@ -1426,7 +1385,6 @@ impl ParallelCampaign {
                     ("coverage", config.coverage.is_some().into()),
                     ("mutation", config.mutation.is_some().into()),
                     ("epoch_cache", config.epoch_cache.into()),
-                    ("portfolio", config.portfolio.into()),
                 ],
             );
         }
@@ -1605,20 +1563,16 @@ impl ParallelCampaign {
                 (Some(coverage), Some(guided.corpus), Some(guided.census))
             }
         };
-        let cache = (config.epoch_cache || config.portfolio).then(|| {
-            let tally = tallies.into_inner().expect("tally lock");
-            CacheSummary {
-                epochs: cache_epochs,
-                // This run's activity only: a worker-lifetime cache carries
-                // counters from earlier shard runs, which belong to those
-                // runs' reports.
-                stats: campaign_cache
-                    .as_ref()
-                    .map(|cache| cache.stats().since(&cache_base))
-                    .unwrap_or_default(),
-                sessions: tally.sessions,
-                portfolio_races: tally.portfolio_races,
-            }
+        let cache = config.epoch_cache.then(|| CacheSummary {
+            epochs: cache_epochs,
+            // This run's activity only: a worker-lifetime cache carries
+            // counters from earlier shard runs, which belong to those
+            // runs' reports.
+            stats: campaign_cache
+                .as_ref()
+                .map(|cache| cache.stats().since(&cache_base))
+                .unwrap_or_default(),
+            sessions: tallies.into_inner().expect("tally lock"),
         });
         let telemetry_summary = telemetry.map(|telemetry| {
             // Fold in the main thread's recorder (the corpus replay), then
@@ -1671,7 +1625,7 @@ impl ParallelCampaign {
         processed_counts: &Mutex<Vec<usize>>,
         jobs: usize,
         cache: Option<&Arc<CampaignCache>>,
-        tallies: &Mutex<SessionTally>,
+        tallies: &Mutex<SessionStats>,
         telemetry: Option<&HuntTelemetry>,
     ) where
         F: Fn() -> p4c::Compiler + Send + Sync,
@@ -1710,10 +1664,7 @@ impl ParallelCampaign {
                         state.drain(config, telemetry, cache);
                     }
                     processed_counts.lock().expect("count lock")[worker] += processed;
-                    tallies
-                        .lock()
-                        .expect("tally lock")
-                        .add(seed_worker.into_tally());
+                    *tallies.lock().expect("tally lock") += seed_worker.into_tally();
                     if let Some(telemetry) = telemetry {
                         if let Some(recorder) = gauntlet_telemetry::take() {
                             telemetry.absorb(&recorder);

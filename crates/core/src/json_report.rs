@@ -7,9 +7,9 @@
 //!   reduction statistics), the aggregated table-2/3 summary, and the
 //!   coverage/mutation blocks.  A pure function of the
 //!   [`HuntConfig`](crate::campaign::HuntConfig):
-//!   byte-identical at any `--jobs`, with or without telemetry, cache, or
-//!   portfolio (also available alone via
-//!   [`HuntReport::deterministic_json`], which the determinism tests pin).
+//!   byte-identical at any `--jobs`, with or without telemetry or cache
+//!   (also available alone via [`HuntReport::deterministic_json`], which
+//!   the determinism tests pin).
 //! * `"run"` — everything that describes the particular execution and is
 //!   therefore excluded from [`HuntReport::render`]: `elapsed`, the
 //!   per-worker loads, the [`CacheSummary`], and the telemetry flight
@@ -134,13 +134,14 @@ pub fn cache_json(cache: &CacheSummary) -> Json {
                 ("verdict_misses", sessions.verdict_misses.into()),
             ]),
         ),
-        ("portfolio_races", cache.portfolio_races.into()),
     ])
 }
 
 /// Parse a `run.cache`-shaped object back into a [`CacheSummary`] — the
 /// inverse of [`cache_json`].  Fleet workers embed this shape in fragment
 /// bodies; the coordinator parses and sums the blocks at merge time.
+/// Unknown keys are ignored, so older documents that carry a since-removed
+/// solver-race counter load too.
 pub fn cache_summary_from_json(value: &Json) -> Result<CacheSummary, String> {
     let stats = value.field("stats")?;
     let sessions = value.field("sessions")?;
@@ -161,7 +162,6 @@ pub fn cache_summary_from_json(value: &Json) -> Result<CacheSummary, String> {
             verdict_hits: sessions.u64_field("verdict_hits")?,
             verdict_misses: sessions.u64_field("verdict_misses")?,
         },
-        portfolio_races: value.u64_field("portfolio_races")?,
     })
 }
 
@@ -319,7 +319,7 @@ impl HuntReport {
     /// The deterministic half of the report as one JSON object: outcomes
     /// (with full bug reports and reduction statistics), the aggregated
     /// table summary, and the coverage/mutation blocks.  Byte-identical at
-    /// any `--jobs` and with telemetry/cache/portfolio on or off — the
+    /// any `--jobs` and with telemetry or cache on or off — the
     /// machine-readable counterpart of [`HuntReport::render`].
     pub fn result_json(&self) -> Json {
         let outcomes: Vec<Json> = self

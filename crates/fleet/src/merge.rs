@@ -379,7 +379,6 @@ mod tests {
                 verdict_hits: 7,
                 verdict_misses: 11,
             },
-            portfolio_races: 1,
         };
         // The cache block round-trips through the fragment envelope.
         let report = HuntReport {
@@ -397,12 +396,12 @@ mod tests {
                 json::render(&cache_json(&part))
             )),
         );
+        // A fragment written before the solver race was removed carries a
+        // `portfolio_races` count; it still loads, and the count is ignored.
+        let old_cache = r#"{"epochs":2,"stats":{"semantics_hits":3,"semantics_misses":5,"verdict_hits":7,"verdict_misses":11},"sessions":{"semantics_hits":3,"semantics_misses":5,"trivial_checks":2,"solver_checks":9,"cached_checks":1,"verdict_hits":7,"verdict_misses":11},"portfolio_races":1}"#;
         fragments.insert(
             1,
-            body(&format!(
-                "{{{EMPTY_RESULT},\"cache\":{}}}",
-                json::render(&cache_json(&part))
-            )),
+            body(&format!("{{{EMPTY_RESULT},\"cache\":{old_cache}}}")),
         );
         // A cache-less fragment (a worker run with the cache off) still
         // merges; it just contributes nothing.
@@ -414,7 +413,9 @@ mod tests {
         assert_eq!(merged.stats.semantics_hits, 6);
         assert_eq!(merged.stats.verdict_misses, 22);
         assert_eq!(merged.sessions.solver_checks, 18);
-        assert_eq!(merged.portfolio_races, 2);
+        let mut twice = part;
+        twice.add(&part);
+        assert_eq!(merged, twice, "the old fragment parses to the same block");
 
         // No fragment carries a cache: the merged report has none either.
         let mut bare = BTreeMap::new();

@@ -168,17 +168,6 @@ impl MetamorphicChecker {
         }
     }
 
-    /// Enables portfolio solving on the checker's session (see
-    /// [`ValidationSession::set_portfolio`]).
-    pub fn set_portfolio(&mut self, options: smt::PortfolioOptions) {
-        self.session.set_portfolio(options);
-    }
-
-    /// How many of the checker's queries escalated to a portfolio race.
-    pub fn portfolio_races(&self) -> u64 {
-        self.session.portfolio_races()
-    }
-
     pub fn engine(&self) -> &MutationEngine {
         &self.engine
     }

@@ -174,8 +174,8 @@ pub fn check_semantics_equivalence_with(
 /// (SAT/UNSAT) is semantic and schedule-independent, so we let the warm
 /// solver decide it, then pay one extra cold solve on the rare SAT path to
 /// make the reported counterexample a pure function of the query structure.
-/// This is what keeps rendered reports byte-identical across `--jobs`,
-/// cache on/off, and portfolio on/off.
+/// This is what keeps rendered reports byte-identical across `--jobs` and
+/// cache on/off.
 fn solve_canonical_model(query: &TermRef, fallback: Model) -> Model {
     let mut fresh = Solver::new();
     match fresh.check_with(std::slice::from_ref(query)) {
@@ -457,22 +457,6 @@ impl ValidationSession {
     /// Statistics of this session's most recent solver call.
     pub fn solver_stats(&self) -> smt::SolverStats {
         self.solver.stats()
-    }
-
-    /// Enables portfolio solving on this session's solver: a query whose
-    /// incremental solve exceeds the configured conflict budget is re-raced
-    /// across K diverse solver configurations (see
-    /// [`smt::PortfolioOptions`]).  Verdicts are SAT/UNSAT-semantic and
-    /// counterexample models are canonicalised, so enabling this never
-    /// changes a session's reported results — only how long the rare hard
-    /// miter takes.
-    pub fn set_portfolio(&mut self, options: smt::PortfolioOptions) {
-        self.solver.set_portfolio(Some(options));
-    }
-
-    /// How many queries escalated to a portfolio race so far.
-    pub fn portfolio_races(&self) -> u64 {
-        self.solver.portfolio_races()
     }
 
     /// The symbolic semantics of `program`, interpreting each block only on

@@ -27,7 +27,6 @@ pub mod value;
 
 pub use bitblast::{BitBlaster, BlastContext};
 pub use eval::{eval, eval_with_default, Assignment, EvalError, Value};
-pub use sat::SolverConfig;
-pub use solver::{CheckResult, Model, PortfolioOptions, Solver, SolverStats};
+pub use solver::{CheckResult, Model, Solver, SolverStats};
 pub use term::{Sort, Term, TermKind, TermManager, TermRef, VarName};
 pub use value::BvValue;

@@ -71,78 +71,19 @@ struct Clause {
 
 const UNASSIGNED: i8 = 0;
 
-/// Restart and decision-heuristic knobs for one CDCL instance.
-///
-/// A *portfolio* of differently-configured instances racing on one hard
-/// instance is the classic way to collapse CDCL's heavy-tailed runtime
-/// distribution: runtimes under different restart schedules and phase/
-/// decision heuristics are near-independent, so the minimum over K
-/// configurations has a far lighter tail than any single one.  The verdict
-/// (SAT/UNSAT) is of course identical whichever configuration answers
-/// first.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverConfig {
-    /// Conflicts before the first restart.
-    pub restart_base: u64,
-    /// Geometric restart growth as a `(numerator, denominator)` ratio.
-    pub restart_growth: (u64, u64),
-    /// Initial saved phase for fresh variables (phase saving overwrites it
-    /// as soon as a variable is first assigned).
-    pub initial_phase: bool,
-    /// VSIDS activity decay factor (activities are divided by this after
-    /// every conflict; smaller means faster forgetting).
-    pub activity_decay: f64,
-    /// Tie-break among equally-active unassigned variables: `false` picks
-    /// the lowest-numbered variable, `true` the highest-numbered.
-    pub prefer_high_vars: bool,
-}
-
-impl Default for SolverConfig {
-    fn default() -> SolverConfig {
-        SolverConfig {
-            restart_base: 100,
-            restart_growth: (3, 2),
-            initial_phase: false,
-            activity_decay: 0.95,
-            prefer_high_vars: false,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The `i`-th portfolio member.  Variant 0 is the default configuration
-    /// (so a 1-member portfolio behaves exactly like a plain solver); the
-    /// others diversify restarts, phases, decay, and tie-breaking.
-    pub fn portfolio_variant(i: usize) -> SolverConfig {
-        match i % 4 {
-            0 => SolverConfig::default(),
-            1 => SolverConfig {
-                restart_base: 50,
-                restart_growth: (2, 1),
-                initial_phase: true,
-                activity_decay: 0.90,
-                prefer_high_vars: true,
-            },
-            2 => SolverConfig {
-                restart_base: 400,
-                restart_growth: (3, 2),
-                initial_phase: false,
-                activity_decay: 0.99,
-                prefer_high_vars: true,
-            },
-            _ => SolverConfig {
-                restart_base: 32,
-                restart_growth: (4, 3),
-                initial_phase: true,
-                activity_decay: 0.85,
-                prefer_high_vars: false,
-            },
-        }
-    }
-}
+/// Conflicts before the first restart.
+const RESTART_BASE: u64 = 100;
+/// Geometric restart growth as a `(numerator, denominator)` ratio.
+const RESTART_GROWTH: (u64, u64) = (3, 2);
+/// Initial saved phase for fresh variables (phase saving overwrites it as
+/// soon as a variable is first assigned).
+const INITIAL_PHASE: bool = false;
+/// VSIDS activity decay factor (activities are divided by this after every
+/// conflict; smaller means faster forgetting).
+const ACTIVITY_DECAY: f64 = 0.95;
 
 /// The CDCL solver.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SatSolver {
     clauses: Vec<Clause>,
     /// watches[lit.index()] = clause indices watching `lit`.
@@ -155,9 +96,10 @@ pub struct SatSolver {
     trail_lim: Vec<usize>,
     qhead: usize,
     activity: Vec<f64>,
+    /// The VSIDS bump amount; it grows by `1 / ACTIVITY_DECAY` per
+    /// conflict, so it must start positive or activities never move.
     var_inc: f64,
     phase: Vec<bool>,
-    config: SolverConfig,
     /// Set when an empty clause is added; the instance is trivially UNSAT.
     trivially_unsat: bool,
     /// Statistics: number of conflicts encountered.
@@ -168,17 +110,33 @@ pub struct SatSolver {
     pub propagations: u64,
 }
 
-impl SatSolver {
-    pub fn new() -> SatSolver {
-        SatSolver::with_config(SolverConfig::default())
+impl Default for SatSolver {
+    fn default() -> SatSolver {
+        SatSolver::new()
     }
+}
 
-    /// A solver using the given restart/decision configuration.
-    pub fn with_config(config: SolverConfig) -> SatSolver {
+impl SatSolver {
+    /// An empty instance.  This is the only constructor: every field is
+    /// written here, so no caller can build a solver with VSIDS switched
+    /// off.
+    pub fn new() -> SatSolver {
         SatSolver {
+            clauses: Vec::new(),
+            watches: Vec::new(),
+            assign: Vec::new(),
+            level: Vec::new(),
+            reason: Vec::new(),
+            trail: Vec::new(),
+            trail_lim: Vec::new(),
+            qhead: 0,
+            activity: Vec::new(),
             var_inc: 1.0,
-            config,
-            ..SatSolver::default()
+            phase: Vec::new(),
+            trivially_unsat: false,
+            conflicts: 0,
+            decisions: 0,
+            propagations: 0,
         }
     }
 
@@ -189,7 +147,7 @@ impl SatSolver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
-        self.phase.push(self.config.initial_phase);
+        self.phase.push(INITIAL_PHASE);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         var
@@ -346,7 +304,7 @@ impl SatSolver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.activity_decay;
+        self.var_inc /= ACTIVITY_DECAY;
     }
 
     /// First-UIP conflict analysis.  Returns the learned clause (asserting
@@ -456,12 +414,7 @@ impl SatSolver {
         let mut best: Option<Var> = None;
         let mut best_activity = -1.0f64;
         for var in 0..self.num_vars() {
-            let better = if self.config.prefer_high_vars {
-                self.activity[var] >= best_activity
-            } else {
-                self.activity[var] > best_activity
-            };
-            if self.assign[var] == UNASSIGNED && better {
+            if self.assign[var] == UNASSIGNED && self.activity[var] > best_activity {
                 best_activity = self.activity[var];
                 best = Some(var as Var);
             }
@@ -486,26 +439,23 @@ impl SatSolver {
 
     /// Decides satisfiability under the given assumption literals.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_limited(assumptions, None, None)
+        self.solve_limited(assumptions, None)
             .expect("unlimited solve always completes")
     }
 
     /// Decides satisfiability under assumptions, giving up after
-    /// `max_conflicts` conflicts (if given) or when `stop` becomes true.
+    /// `max_conflicts` conflicts (if given).
     ///
-    /// Returns `None` when the budget ran out or the stop flag fired; the
-    /// solver backtracks to level 0 and keeps its learned clauses, so it
-    /// stays usable (a later unlimited call resumes with everything
-    /// learned so far).  This is the primitive behind portfolio racing: the
-    /// incremental solver gets a conflict budget before the hard-miter
-    /// escalation, and racing instances carry each other's stop flag.
+    /// Returns `None` when the budget ran out; the solver backtracks to
+    /// level 0 and keeps its learned clauses, so it stays usable (a later
+    /// unlimited call resumes with everything learned so far).  Conflicts
+    /// are deterministic where wall time is not, so this is the entry point
+    /// for a per-query verdict budget.
     pub fn solve_limited(
         &mut self,
         assumptions: &[Lit],
         max_conflicts: Option<u64>,
-        stop: Option<&std::sync::atomic::AtomicBool>,
     ) -> Option<SatResult> {
-        use std::sync::atomic::Ordering;
         if self.trivially_unsat {
             return Some(SatResult::Unsat);
         }
@@ -535,9 +485,8 @@ impl SatSolver {
         }
         let assumption_level = self.decision_level();
 
-        let mut conflicts_until_restart = self.config.restart_base;
+        let mut conflicts_until_restart = RESTART_BASE;
         let mut conflicts_since_restart = 0u64;
-        let (growth_num, growth_den) = self.config.restart_growth;
         let mut budget_spent = 0u64;
         loop {
             if let Some(conflict) = self.propagate() {
@@ -560,9 +509,7 @@ impl SatSolver {
                 }
                 self.learn(learned);
                 self.decay_activities();
-                if max_conflicts.is_some_and(|max| budget_spent >= max)
-                    || stop.is_some_and(|flag| flag.load(Ordering::Relaxed))
-                {
+                if max_conflicts.is_some_and(|max| budget_spent >= max) {
                     // Give up, keeping everything learned so far.
                     self.backjump(0);
                     return None;
@@ -570,7 +517,7 @@ impl SatSolver {
                 if conflicts_since_restart >= conflicts_until_restart {
                     conflicts_since_restart = 0;
                     conflicts_until_restart =
-                        (conflicts_until_restart * growth_num) / growth_den.max(1);
+                        conflicts_until_restart * RESTART_GROWTH.0 / RESTART_GROWTH.1;
                     self.backjump(assumption_level);
                 }
             } else if !self.decide() {

@@ -9,12 +9,10 @@
 
 use crate::bitblast::{BitBlaster, BlastContext, Repr};
 use crate::eval::{eval_with_default, Assignment, Value};
-use crate::sat::{Lit, SatResult, SatSolver, SolverConfig};
+use crate::sat::{Lit, SatResult, SatSolver};
 use crate::term::TermRef;
 use crate::value::BvValue;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// A satisfying assignment for the variables of a query.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -95,33 +93,6 @@ pub struct SolverStats {
     pub decisions: u64,
     pub propagations: u64,
     pub memo_hits: usize,
-    /// When the last check escalated to a portfolio race, the index of the
-    /// configuration (`SolverConfig::portfolio_variant`) that answered
-    /// first.  Informational only: the verdict is identical whichever
-    /// member wins, and counterexamples are canonicalised upstream, so
-    /// nothing rendered depends on this value.
-    pub portfolio_winner: Option<usize>,
-}
-
-/// Configuration of [`Solver`]'s portfolio escalation for hard instances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortfolioOptions {
-    /// Number of configurations to race (clamped to at least 1).
-    pub members: usize,
-    /// Conflicts the incremental solver may spend before escalating to the
-    /// race.  `0` races immediately (useful for tests).
-    pub trigger_conflicts: u64,
-}
-
-impl Default for PortfolioOptions {
-    fn default() -> PortfolioOptions {
-        PortfolioOptions {
-            members: 4,
-            // Generated miters almost always decide within a few hundred
-            // conflicts; only genuinely hard instances get this far.
-            trigger_conflicts: 20_000,
-        }
-    }
 }
 
 /// An accumulating, incremental solver over terms.
@@ -135,7 +106,7 @@ impl Default for PortfolioOptions {
 /// between checks.  Chains of related queries over one [`crate::TermManager`]
 /// (translation validation of consecutive pass pairs) therefore bit-blast
 /// every shared subterm exactly once.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Solver {
     assertions: Vec<TermRef>,
     /// How many of `assertions` are already lowered into `sat`.
@@ -144,26 +115,24 @@ pub struct Solver {
     ctx: BlastContext,
     last_stats: SolverStats,
     total_checks: u64,
-    /// When set, hard checks escalate to a portfolio race (see
-    /// [`PortfolioOptions`]).
-    portfolio: Option<PortfolioOptions>,
-    /// Lifetime count of checks that escalated to a race.
-    portfolio_races: u64,
+}
+
+impl Default for Solver {
+    fn default() -> Solver {
+        Solver::new()
+    }
 }
 
 impl Solver {
     pub fn new() -> Solver {
-        Solver::default()
-    }
-
-    /// Enables (or disables, with `None`) portfolio escalation.
-    pub fn set_portfolio(&mut self, options: Option<PortfolioOptions>) {
-        self.portfolio = options;
-    }
-
-    /// Number of checks that escalated to a portfolio race so far.
-    pub fn portfolio_races(&self) -> u64 {
-        self.portfolio_races
+        Solver {
+            assertions: Vec::new(),
+            lowered: 0,
+            sat: SatSolver::new(),
+            ctx: BlastContext::new(),
+            last_stats: SolverStats::default(),
+            total_checks: 0,
+        }
     }
 
     /// Adds a boolean assertion.
@@ -234,28 +203,7 @@ impl Solver {
         self.lowered = self.assertions.len();
         let memo_hits = self.ctx.cross_generation_hits();
 
-        // Decide: incrementally when possible, escalating to a portfolio
-        // race once a configured conflict budget is exhausted.  The race
-        // re-blasts the full assertion set into fresh instances with
-        // diverse configurations; the first to answer stops the rest.
-        let mut portfolio_winner = None;
-        let local_result = match self.portfolio {
-            None => Some(self.sat.solve_with_assumptions(&assumptions)),
-            Some(options) if options.trigger_conflicts > 0 => {
-                self.sat
-                    .solve_limited(&assumptions, Some(options.trigger_conflicts), None)
-            }
-            Some(_) => None,
-        };
-        let raced_values = match (&local_result, self.portfolio) {
-            (None, Some(options)) => {
-                self.portfolio_races += 1;
-                let (winner, values) = self.race_portfolio(extra, options.members.max(1));
-                portfolio_winner = Some(winner);
-                Some(values)
-            }
-            _ => None,
-        };
+        let result = self.sat.solve_with_assumptions(&assumptions);
         self.last_stats = SolverStats {
             sat_variables: self.sat.num_vars(),
             sat_clauses: self.sat.num_clauses(),
@@ -263,70 +211,15 @@ impl Solver {
             decisions: self.sat.decisions - decisions0,
             propagations: self.sat.propagations - propagations0,
             memo_hits,
-            portfolio_winner,
         };
-        let result = match (local_result, raced_values) {
-            (Some(SatResult::Unsat), _) => CheckResult::Unsat,
-            (Some(SatResult::Sat(assignment)), _) => {
+        let result = match result {
+            SatResult::Unsat => CheckResult::Unsat,
+            SatResult::Sat(assignment) => {
                 CheckResult::Sat(Model::new(extract_values(&self.ctx, &assignment)))
             }
-            (None, Some(None)) => CheckResult::Unsat,
-            (None, Some(Some(values))) => CheckResult::Sat(Model::new(values)),
-            (None, None) => unreachable!("an escalated check always races"),
         };
         gauntlet_telemetry::query_finish(telemetry_query);
         result
-    }
-
-    /// Races `members` freshly-blasted SAT instances with diverse
-    /// configurations over the current assertions plus `extra`.  Returns
-    /// the winning member's index and its verdict (`None` = UNSAT,
-    /// `Some(values)` = a satisfying assignment).
-    fn race_portfolio(
-        &self,
-        extra: &[TermRef],
-        members: usize,
-    ) -> (usize, Option<HashMap<String, Value>>) {
-        let stop = AtomicBool::new(false);
-        type RaceWin = Option<(usize, Option<HashMap<String, Value>>)>;
-        let winner: Mutex<RaceWin> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for member in 0..members {
-                let stop = &stop;
-                let winner = &winner;
-                let assertions = &self.assertions;
-                scope.spawn(move || {
-                    let mut sat = SatSolver::with_config(SolverConfig::portfolio_variant(member));
-                    let mut ctx = BlastContext::new();
-                    let mut assumptions = Vec::with_capacity(extra.len());
-                    {
-                        let mut blaster = BitBlaster::new(&mut sat, &mut ctx);
-                        for assertion in assertions {
-                            blaster.assert(assertion);
-                        }
-                        for term in extra {
-                            assumptions.push(blaster.blast(term).as_bool());
-                        }
-                    }
-                    let Some(result) = sat.solve_limited(&assumptions, None, Some(stop)) else {
-                        return; // another member answered first
-                    };
-                    let mut slot = winner.lock().expect("portfolio winner lock poisoned");
-                    if slot.is_none() {
-                        stop.store(true, Ordering::Relaxed);
-                        let values = match result {
-                            SatResult::Unsat => None,
-                            SatResult::Sat(assignment) => Some(extract_values(&ctx, &assignment)),
-                        };
-                        *slot = Some((member, values));
-                    }
-                });
-            }
-        });
-        winner
-            .into_inner()
-            .expect("portfolio winner lock poisoned")
-            .expect("at least one portfolio member completes")
     }
 
     /// Convenience: checks whether two terms of equal sort can differ.  This
@@ -483,61 +376,52 @@ mod tests {
         assert_eq!(solver.check(), CheckResult::Unsat);
     }
 
-    /// A query hard enough to need conflicts, solved three ways: plain
-    /// incremental, portfolio with a generous trigger (no race), and
-    /// portfolio forced to race immediately.  All verdicts must agree.
-    #[test]
-    fn portfolio_race_agrees_with_incremental() {
-        let tm = TermManager::new();
-        // An UNSAT mutation miter: commuted multiplication (kept narrow —
-        // UNSAT proofs over multipliers grow steeply with width).
+    /// An UNSAT miter that needs real conflict analysis: commuted
+    /// multiplication, kept narrow because UNSAT proofs over multipliers
+    /// grow steeply with width.  An extra xor layer defeats hash-consing's
+    /// syntactic collapse so the query actually reaches the SAT core.
+    fn commuted_multiplication_miter(tm: &TermManager) -> TermRef {
         let x = tm.var("x", Sort::BitVec(5));
         let y = tm.var("y", Sort::BitVec(5));
-        let lhs = tm.bv_mul(x.clone(), y.clone());
-        let rhs = tm.bv_mul(y.clone(), x.clone());
-        // Defeat hash-consing's syntactic collapse with an extra xor layer
-        // so the query actually reaches the SAT core.
-        let lhs = tm.bv_xor(lhs, tm.bv_add(x.clone(), y.clone()));
-        let rhs = tm.bv_xor(rhs, tm.bv_add(x.clone(), y.clone()));
-        let query = tm.neq(lhs, rhs);
-
-        let mut plain = Solver::new();
-        let expected = plain.check_with(std::slice::from_ref(&query));
-        assert_eq!(expected, CheckResult::Unsat);
-        assert_eq!(plain.stats().portfolio_winner, None);
-        assert_eq!(plain.portfolio_races(), 0);
-
-        let mut lazy = Solver::new();
-        lazy.set_portfolio(Some(PortfolioOptions::default()));
-        assert_eq!(lazy.check_with(std::slice::from_ref(&query)), expected);
-        assert_eq!(lazy.portfolio_races(), 0, "generous trigger must not race");
-
-        let mut eager = Solver::new();
-        eager.set_portfolio(Some(PortfolioOptions {
-            members: 4,
-            trigger_conflicts: 0,
-        }));
-        assert_eq!(eager.check_with(std::slice::from_ref(&query)), expected);
-        assert_eq!(eager.portfolio_races(), 1, "zero trigger races immediately");
-        assert!(eager.stats().portfolio_winner.is_some());
+        let lhs = tm.bv_xor(
+            tm.bv_mul(x.clone(), y.clone()),
+            tm.bv_add(x.clone(), y.clone()),
+        );
+        let rhs = tm.bv_xor(
+            tm.bv_mul(y.clone(), x.clone()),
+            tm.bv_add(x.clone(), y.clone()),
+        );
+        tm.neq(lhs, rhs)
     }
 
-    /// SAT verdicts from a forced race are genuine witnesses.
+    /// A freshly constructed solver searches exactly like one whose SAT
+    /// instance was rebuilt by `reset`: both start from the same VSIDS
+    /// state, so a query that needs conflicts takes the same number of
+    /// conflicts and decisions either way.
     #[test]
-    fn portfolio_race_sat_models_satisfy_the_query() {
+    fn new_solver_searches_like_a_reset_one() {
         let tm = TermManager::new();
-        let x = tm.var("x", Sort::BitVec(10));
-        let y = tm.var("y", Sort::BitVec(10));
-        let query = tm.eq(tm.bv_mul(x.clone(), y.clone()), tm.bv_const(391, 10));
-        let mut solver = Solver::new();
-        solver.set_portfolio(Some(PortfolioOptions {
-            members: 3,
-            trigger_conflicts: 0,
-        }));
-        match solver.check_with(std::slice::from_ref(&query)) {
-            CheckResult::Sat(model) => assert!(model.eval(&query).as_bool()),
-            CheckResult::Unsat => panic!("391 = 17 * 23 is expressible in 10 bits"),
-        }
+        let query = commuted_multiplication_miter(&tm);
+
+        let mut fresh = Solver::new();
+        assert_eq!(
+            fresh.check_with(std::slice::from_ref(&query)),
+            CheckResult::Unsat
+        );
+        let mut reset = Solver::new();
+        reset.reset();
+        assert_eq!(
+            reset.check_with(std::slice::from_ref(&query)),
+            CheckResult::Unsat
+        );
+
+        let (fresh, reset) = (fresh.stats(), reset.stats());
+        assert!(fresh.conflicts > 0, "the miter must need conflict analysis");
+        assert_eq!(
+            (fresh.conflicts, fresh.decisions),
+            (reset.conflicts, reset.decisions),
+            "a new solver must search with the same VSIDS state as a reset one"
+        );
     }
 
     /// A budget-limited solve gives up cleanly and the solver stays usable.
@@ -564,12 +448,12 @@ mod tests {
             }
         }
         assert_eq!(
-            sat.solve_limited(&[], Some(1), None),
+            sat.solve_limited(&[], Some(1)),
             None,
             "budget of one conflict cannot finish PHP(5,4)"
         );
         // The interrupted instance resumes and still answers correctly.
-        assert_eq!(sat.solve_limited(&[], None, None), Some(SatResult::Unsat));
+        assert_eq!(sat.solve_limited(&[], None), Some(SatResult::Unsat));
     }
 
     #[test]

@@ -215,7 +215,7 @@ const EXPECTED_JSON: &str = concat!(
     r#""coverage":{"fired":["ConstantFolding/fold_arith","Predication/predicate_then","StrengthReduction/add_zero_identity"],"rules_total":39,"constructs_seen":17,"corpus_size":3,"corpus_added":1,"rules_over_time":[[25,2],[50,3]],"pairs":["ConstantFolding/fold_arith->Predication/predicate_then","ConstantFolding/fold_arith->StrengthReduction/add_zero_identity"],"pairs_total":627},"#,
     r#""mutation":{"mutants_checked":96,"divergent":1,"fired":["AlgebraicRewrite/xor_zero","ControlFlowWrap/block_wrap","OpaqueGuard/opaque_false_branch","ReorderIndependent/swap_independent"],"rules_total":10},"#,
     r#""diversity":{"slices":2,"distinct_bugs":{"slice-0":2,"slice-1":1}}},"#,
-    r#""run":{"elapsed_us":1234000,"per_worker":[26,24],"cache":{"epochs":0,"stats":{"semantics_hits":0,"semantics_misses":0,"verdict_hits":0,"verdict_misses":0},"sessions":{"semantics_hits":0,"semantics_misses":0,"trivial_checks":0,"solver_checks":0,"cached_checks":0,"verdict_hits":0,"verdict_misses":0},"portfolio_races":0},"telemetry":null}}"#,
+    r#""run":{"elapsed_us":1234000,"per_worker":[26,24],"cache":{"epochs":0,"stats":{"semantics_hits":0,"semantics_misses":0,"verdict_hits":0,"verdict_misses":0},"sessions":{"semantics_hits":0,"semantics_misses":0,"trivial_checks":0,"solver_checks":0,"cached_checks":0,"verdict_hits":0,"verdict_misses":0}},"telemetry":null}}"#,
 );
 
 #[test]

@@ -283,12 +283,12 @@ fn fleet_documents_keep_their_bytes() {
     check(
         &pins,
         &[
-            ("checkpoint", "25f7c7d33dfd90cf"),
-            ("fragment", "9adf17af91dad01c"),
-            ("fragment_frame", "babc81db1c63964a"),
-            ("report", "12e8f6d3466cf662"),
+            ("checkpoint", "3f7324887ea6a051"),
+            ("fragment", "31bf1117611e8bed"),
+            ("fragment_frame", "b227a46dc33ca821"),
+            ("report", "6c95113cf43ac377"),
             ("triage", "78520221baf2a246"),
-            ("events", "cca1dcbb10f09306"),
+            ("events", "b8832c78b33d21e8"),
         ],
     );
 }

@@ -1,9 +1,8 @@
-//! Acceptance tests for the epoch-scoped validation cache and portfolio
-//! SAT: both knobs must be *semantically invisible* — the rendered report
-//! and the saved corpus are byte-identical with caching on or off, with
-//! portfolio racing on or off, at `--jobs 1` and `--jobs 4` — and the
-//! pool-wide cache counters must reconcile exactly with the per-session
-//! tallies summed over every worker.
+//! Acceptance tests for the epoch-scoped validation cache: the knob must be
+//! *semantically invisible* — the rendered report and the saved corpus are
+//! byte-identical with caching on or off, at `--jobs 1` and `--jobs 4` —
+//! and the pool-wide cache counters must reconcile exactly with the
+//! per-session tallies summed over every worker.
 
 use gauntlet_core::{
     CacheSummary, CoverageOptions, HuntConfig, HuntReport, MetamorphicOptions, ParallelCampaign,
@@ -39,8 +38,8 @@ fn hunted_compiler() -> p4c::Compiler {
 
 /// A hunt over the fixed seed range with both oracle dimensions on
 /// (translation validation + metamorphic mutation), parameterised by the
-/// three knobs under test.
-fn hunt(cache: bool, jobs: usize, portfolio: bool) -> HuntReport {
+/// two knobs under test.
+fn hunt(cache: bool, jobs: usize) -> HuntReport {
     ParallelCampaign::new(HuntConfig {
         jobs,
         seed_start: 0,
@@ -48,7 +47,6 @@ fn hunt(cache: bool, jobs: usize, portfolio: bool) -> HuntReport {
         generator: GeneratorConfig::tiny(),
         mutation: Some(MetamorphicOptions::default()),
         epoch_cache: cache,
-        portfolio,
         ..HuntConfig::default()
     })
     .run(hunted_compiler)
@@ -62,13 +60,12 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// The headline determinism claim: across the whole knob matrix — cache
-/// on/off × portfolio on/off × `--jobs` 1/4 — the rendered report is
-/// byte-identical.  Cached SAT verdicts carry canonical models and
-/// portfolio races are verdict-preserving, so no combination may change a
+/// on/off × `--jobs` 1/4 — the rendered report is byte-identical.  Cached
+/// SAT verdicts carry canonical models, so no combination may change a
 /// single byte of output.
 #[test]
-fn reports_are_byte_identical_across_cache_jobs_and_portfolio() {
-    let baseline = hunt(false, 1, false);
+fn reports_are_byte_identical_across_cache_and_jobs() {
+    let baseline = hunt(false, 1);
     let rendered = baseline.render();
     assert!(
         baseline.total_bugs > 0,
@@ -77,20 +74,12 @@ fn reports_are_byte_identical_across_cache_jobs_and_portfolio() {
     // Findings carry counterexamples: the canonical-model discipline is
     // actually load-bearing in this comparison.
     assert!(rendered.contains("semantic difference"), "{rendered}");
-    for (cache, jobs, portfolio) in [
-        (true, 1, false),
-        (false, 4, false),
-        (true, 4, false),
-        (false, 1, true),
-        (true, 1, true),
-        (false, 4, true),
-        (true, 4, true),
-    ] {
-        let variant = hunt(cache, jobs, portfolio);
+    for (cache, jobs) in [(true, 1), (false, 4), (true, 4)] {
+        let variant = hunt(cache, jobs);
         assert_eq!(
             rendered,
             variant.render(),
-            "cache={cache} jobs={jobs} portfolio={portfolio} changed the report"
+            "cache={cache} jobs={jobs} changed the report"
         );
         assert_eq!(baseline.outcomes.len(), variant.outcomes.len());
         assert_eq!(baseline.total_bugs, variant.total_bugs);
@@ -210,7 +199,7 @@ fn multi_epoch_reports_and_corpus_are_identical_across_cache_and_jobs() {
 #[test]
 fn cache_counters_reconcile_with_session_tallies() {
     for jobs in [1, 4] {
-        let report = hunt(true, jobs, false);
+        let report = hunt(true, jobs);
         let summary = report.cache.expect("cache summary present when enabled");
         assert_eq!(summary.epochs, 1, "mutation-only hunts run one epoch");
         let (cache, sessions) = (summary.stats, summary.sessions);
@@ -247,8 +236,8 @@ fn cache_counters_reconcile_with_session_tallies() {
 /// as a hit, exactly like a sequential second lookup).
 #[test]
 fn cache_counters_are_schedule_independent_without_a_quota() {
-    let sequential = hunt(true, 1, false);
-    let parallel = hunt(true, 4, false);
+    let sequential = hunt(true, 1);
+    let parallel = hunt(true, 4);
     assert_eq!(
         sequential.cache.expect("summary on"),
         parallel.cache.expect("summary on"),
@@ -256,44 +245,22 @@ fn cache_counters_are_schedule_independent_without_a_quota() {
     );
 }
 
-/// The summary block appears exactly when a knob that produces it is on,
-/// and never leaks into the rendered report (it is run-descriptive, like
-/// `elapsed`).
+/// The summary block appears exactly when the cache knob is on, and never
+/// leaks into the rendered report (it is run-descriptive, like `elapsed`).
 #[test]
 fn cache_summary_presence_follows_the_knobs() {
-    let off = hunt(false, 2, false);
-    assert!(off.cache.is_none(), "no knobs, no summary");
-    let cached = hunt(true, 2, false);
+    let off = hunt(false, 2);
+    assert!(off.cache.is_none(), "no cache, no summary");
+    let cached = hunt(true, 2);
     let summary = cached.cache.expect("cache knob produces the summary");
     assert!(summary.stats.semantics_lookups() > 0);
-    let portfolio_only = hunt(false, 2, true);
-    let races = portfolio_only
-        .cache
-        .expect("portfolio knob produces it too");
-    // Private-cache sessions still tally; the pool-wide stats stay zero
-    // because no shared epoch cache existed.
-    assert_eq!(races.epochs, 0);
-    assert_eq!(races.stats, Default::default());
-    assert!(races.sessions.semantics_hits + races.sessions.semantics_misses > 0);
-    for report in [&off, &cached, &portfolio_only] {
+    for report in [&off, &cached] {
         let rendered = report.render();
         assert!(
             !rendered.to_lowercase().contains("cache"),
             "the render must not depend on run-descriptive cache data:\n{rendered}"
         );
     }
-}
-
-/// Portfolio racing keeps the race *count* deterministic per seed range:
-/// escalation triggers on a fixed conflict budget over a deterministic
-/// query stream, so the tally is schedule-independent too.
-#[test]
-fn portfolio_race_count_is_schedule_independent() {
-    let sequential = hunt(false, 1, true);
-    let parallel = hunt(false, 4, true);
-    let races_1 = sequential.cache.expect("summary on").portfolio_races;
-    let races_4 = parallel.cache.expect("summary on").portfolio_races;
-    assert_eq!(races_1, races_4, "portfolio race tallies diverged");
 }
 
 /// `CacheSummary` is plain data with an exhaustive equality: a copy round-
@@ -306,5 +273,4 @@ fn cache_summary_default_is_all_zero() {
     assert_eq!(summary.stats.semantics_lookups(), 0);
     assert_eq!(summary.stats.verdict_lookups(), 0);
     assert_eq!(summary.sessions.solver_checks, 0);
-    assert_eq!(summary.portfolio_races, 0);
 }
