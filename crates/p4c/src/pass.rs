@@ -415,49 +415,135 @@ mod tests {
         assert_eq!(result.pass_pairs().count(), 1);
     }
 
-    /// A `Snapshots::Pass` compile holds exactly the named pass's pairs of
-    /// a `Snapshots::All` compile, and no other pass's pairs.
+    /// The compilers of the seeded-bug registry on the P4C platform: the
+    /// reference pipeline (which back-end bugs also use), every faulty pass
+    /// and every driver defect.
+    fn registry_compilers() -> Vec<(String, Compiler)> {
+        let mut compilers = vec![("reference".to_string(), Compiler::reference())];
+        for bug in crate::FrontEndBugClass::all() {
+            let mut compiler = Compiler::reference();
+            assert!(compiler.replace_pass(bug.faulty_pass()));
+            compilers.push((format!("{bug:?}"), compiler));
+        }
+        for bug in crate::DriverBugClass::all() {
+            let mut compiler = Compiler::reference();
+            compiler.seed_input_corruption(bug);
+            compilers.push((format!("{bug:?}"), compiler));
+        }
+        compilers
+    }
+
+    /// For every registry compiler: a `Snapshots::None` compile ends like a
+    /// `Snapshots::All` one, the last snapshot is the final program, every
+    /// snapshot's printed form is its program printed, the input is left
+    /// alone, and a `Snapshots::Pass` compile holds exactly the named
+    /// pass's pairs of the full compile, and no other pass's pairs.
     #[test]
     fn pass_snapshots_match_that_pass_pairs_of_a_full_compile() {
         use p4_gen::{GeneratorConfig, RandomProgramGenerator};
-        let reference = Compiler::reference();
-        let mut pairs = 0;
-        for seed in 0..12 {
-            let program = RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate();
-            let Ok(all) = reference.compile(&program) else {
-                continue;
-            };
-            for name in reference.pass_names() {
-                let mut compiler = Compiler::reference();
-                compiler.options_mut().snapshots = Snapshots::Pass(name.clone());
-                let only = compiler.compile(&program).unwrap();
-                let key = |(before, after): (&PassSnapshot, &PassSnapshot)| {
-                    let fields = |s: &PassSnapshot| {
-                        (s.pass_name.clone(), s.area, s.pass_index, s.printed.clone())
-                    };
-                    assert_eq!(
-                        p4_ir::print_program(&before.program),
-                        before.printed,
-                        "seed {seed}"
-                    );
-                    (fields(before), fields(after))
+        let compile = |compiler: &mut Compiler, snapshots: Snapshots, program: &Program| {
+            compiler.options_mut().snapshots = snapshots;
+            let result = compiler.compile(program);
+            if let Ok(result) = &result {
+                for snapshot in &result.snapshots {
+                    assert_eq!(print_program(&snapshot.program), snapshot.printed);
+                }
+            }
+            result
+        };
+        let (mut pairs, mut errors) = (0, 0);
+        for (label, mut compiler) in registry_compilers() {
+            for seed in 0..12 {
+                let program = RandomProgramGenerator::new(GeneratorConfig::tiny(), seed).generate();
+                let input = program.clone();
+                let all = compile(&mut compiler, Snapshots::All, &program);
+                let none = compile(&mut compiler, Snapshots::None, &program);
+                assert_eq!(program, input, "{label}, seed {seed}: the input changed");
+                let all = match (all, none) {
+                    (Ok(all), Ok(none)) => {
+                        assert!(none.snapshots.is_empty());
+                        assert_eq!(none.program, all.program, "{label}, seed {seed}");
+                        let last = all.snapshots.last().expect("the input snapshot");
+                        let last: &Program = &last.program;
+                        assert_eq!(*last, all.program, "{label}, seed {seed}");
+                        all
+                    }
+                    (Err(all), Err(none)) => {
+                        assert_eq!(none, all, "{label}, seed {seed}");
+                        errors += 1;
+                        continue;
+                    }
+                    (all, none) => {
+                        panic!("{label}, seed {seed}: {:?} vs {:?}", all.err(), none.err())
+                    }
                 };
-                let expected: Vec<_> = all
-                    .pass_pairs()
-                    .filter(|(_, after)| after.pass_name == name)
-                    .map(key)
-                    .collect();
-                let got: Vec<_> = only.pass_pairs().map(key).collect();
-                assert_eq!(got, expected, "seed {seed}, pass {name}");
-                assert_eq!(only.program, all.program);
-                pairs += got.len();
+                for name in compiler.pass_names() {
+                    let only = compile(&mut compiler, Snapshots::Pass(name.clone()), &program)
+                        .unwrap_or_else(|e| panic!("{label}, seed {seed}, pass {name}: {e}"));
+                    let key = |(before, after): (&PassSnapshot, &PassSnapshot)| {
+                        let fields = |s: &PassSnapshot| {
+                            (s.pass_name.clone(), s.area, s.pass_index, s.printed.clone())
+                        };
+                        (fields(before), fields(after))
+                    };
+                    let expected: Vec<_> = all
+                        .pass_pairs()
+                        .filter(|(_, after)| after.pass_name == name)
+                        .map(key)
+                        .collect();
+                    let got: Vec<_> = only.pass_pairs().map(key).collect();
+                    assert_eq!(got, expected, "{label}, seed {seed}, pass {name}");
+                    assert_eq!(only.program, all.program);
+                    pairs += got.len();
+                }
             }
         }
-        assert!(pairs > 10, "the fixture must exercise pass pairs: {pairs}");
-        let mut silent = Compiler::reference();
-        silent.options_mut().snapshots = Snapshots::None;
-        let result = silent.compile(&builder::trivial_program()).unwrap();
-        assert!(result.snapshots.is_empty());
+        assert!(pairs > 100, "the fixture must exercise pass pairs: {pairs}");
+        assert!(errors > 0, "the fixture must exercise failed compiles");
+    }
+
+    /// A pass that edits the program and then rejects it, or edits it and
+    /// then panics, is reported against that pass; its partial edits
+    /// never surface.
+    #[test]
+    fn a_pass_that_fails_after_editing_is_reported() {
+        struct EditThen(&'static str, fn() -> Result<(), Diagnostic>);
+        impl Pass for EditThen {
+            fn name(&self) -> &str {
+                self.0
+            }
+            fn run(&self, program: &mut Program) -> Result<(), Diagnostic> {
+                program
+                    .control_mut("ingress_impl")
+                    .unwrap()
+                    .apply
+                    .statements
+                    .clear();
+                (self.1)()
+            }
+        }
+        for snapshots in [Snapshots::All, Snapshots::None] {
+            let mut compiler = Compiler::empty();
+            compiler.options_mut().snapshots = snapshots;
+            compiler.add_pass(Box::new(RenameControlPass));
+            compiler.add_pass(Box::new(EditThen("Rejecting", || {
+                Err(Diagnostic::new("unsupported construct"))
+            })));
+            assert!(matches!(
+                compiler.compile(&builder::trivial_program()),
+                Err(CompileError::Rejected { pass, diagnostics })
+                    if pass == "Rejecting" && diagnostics == ["unsupported construct"]
+            ));
+            assert!(compiler.remove_pass("Rejecting"));
+            compiler.add_pass(Box::new(EditThen("Crashing", || {
+                panic!("edited, then crashed")
+            })));
+            assert!(matches!(
+                compiler.compile(&builder::trivial_program()),
+                Err(CompileError::Crash { pass, message, .. })
+                    if pass == "Crashing" && message == "edited, then crashed"
+            ));
+        }
     }
 
     #[test]

@@ -424,6 +424,54 @@ mod tests {
         );
     }
 
+    /// The search is pinned: a few fixed queries take exactly these
+    /// `(conflicts, decisions, propagations)`.  A change to the SAT core's
+    /// data structures that keeps every decision keeps these counts.
+    #[test]
+    fn search_counts_on_fixed_miters_are_pinned() {
+        let tm = TermManager::new();
+        let counts = |solver: &Solver| {
+            let stats = solver.stats();
+            (stats.conflicts, stats.decisions, stats.propagations)
+        };
+
+        let mut commuted = Solver::new();
+        let query = commuted_multiplication_miter(&tm);
+        assert_eq!(commuted.check_with(&[query]), CheckResult::Unsat);
+
+        let x = tm.var("dx", Sort::BitVec(4));
+        let y = tm.var("dy", Sort::BitVec(4));
+        let z = tm.var("dz", Sort::BitVec(4));
+        let mut distributes = Solver::new();
+        let lhs = tm.bv_mul(x.clone(), tm.bv_add(y.clone(), z.clone()));
+        let rhs = tm.bv_add(tm.bv_mul(x.clone(), y.clone()), tm.bv_mul(x, z));
+        assert_eq!(
+            distributes.check_with(&[tm.neq(lhs, rhs)]),
+            CheckResult::Unsat
+        );
+
+        // Factoring below 16: a satisfiable query (143 = 11 * 13), then an
+        // unsatisfiable one (127 is prime) on the same instance, so learned
+        // clauses carry over between checks.
+        let a = tm.var("fa", Sort::BitVec(8));
+        let b = tm.var("fb", Sort::BitVec(8));
+        let mut factors = Solver::new();
+        for factor in [&a, &b] {
+            factors.assert(tm.bv_ult(tm.bv_const(1, 8), factor.clone()));
+            factors.assert(tm.bv_ult(factor.clone(), tm.bv_const(16, 8)));
+        }
+        let product = tm.bv_mul(a, b);
+        let composite = tm.eq(product.clone(), tm.bv_const(143, 8));
+        assert!(factors.check_with(&[composite]).is_sat());
+        let prime = tm.eq(product, tm.bv_const(127, 8));
+        assert_eq!(factors.check_with(&[prime]), CheckResult::Unsat);
+
+        assert_eq!(
+            [counts(&commuted), counts(&distributes), counts(&factors)],
+            [(592, 765, 39778), (1199, 1446, 84784), (7, 6, 628)]
+        );
+    }
+
     /// A budget-limited solve gives up cleanly and the solver stays usable.
     #[test]
     fn budgeted_solve_is_resumable() {
