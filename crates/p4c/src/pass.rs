@@ -8,12 +8,15 @@
 //!    (`p4test`-style snapshots), which translation validation consumes; and
 //! 2. passes signal internal errors through assertions, which surface as
 //!    crash bugs with the offending pass attached.
+//!
+//! Passes run in place on one working program; the driver clones only what
+//! it emits, once per pass that changed the program.
 
 use crate::error::{CompileError, Diagnostic};
 use p4_ir::{print_program, Program};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
+use std::sync::{Arc, Once};
 
 /// Which part of the compiler a pass belongs to.  Table 3 of the paper
 /// groups detected bugs by exactly these areas.
@@ -47,7 +50,8 @@ pub trait Pass {
     /// Transforms the program in place.  Returning an error models a
     /// *rejected* program (a compiler diagnostic); panicking models an
     /// internal assertion violation, which the driver reports as a crash
-    /// bug.
+    /// bug.  After an error or a panic the program may be left in any
+    /// state: the driver discards it.
     fn run(&self, program: &mut Program) -> Result<(), Diagnostic>;
 }
 
@@ -58,7 +62,8 @@ pub struct PassSnapshot {
     pub area: PassArea,
     /// Index of the pass in the pipeline (0 = the input program).
     pub pass_index: usize,
-    pub program: Program,
+    /// The emitted program, shared with the driver and never mutated.
+    pub program: Arc<Program>,
     /// The ToP4-printed form of `program`.
     pub printed: String,
 }
@@ -70,8 +75,6 @@ pub struct CompileResult {
     pub snapshots: Vec<PassSnapshot>,
     /// The fully transformed program.
     pub program: Program,
-    /// Names of passes that ran but did not modify the program.
-    pub unchanged_passes: Vec<String>,
     /// Which rewrite rules fired during this compile (see
     /// [`crate::coverage`]).
     pub coverage: crate::coverage::PassCoverage,
@@ -80,7 +83,7 @@ pub struct CompileResult {
 impl PassSnapshot {
     /// The snapshot of `program` as pass `pass_name` (at `pass_index`, in
     /// `area`) emitted it.
-    fn new((pass_name, area, pass_index): (&str, PassArea, usize), program: Program) -> Self {
+    fn new((pass_name, area, pass_index): (&str, PassArea, usize), program: Arc<Program>) -> Self {
         PassSnapshot {
             pass_name: pass_name.to_string(),
             area,
@@ -107,7 +110,7 @@ pub enum Snapshots {
     /// (the `p4test --top4` behaviour Gauntlet depends on).
     All,
     /// No snapshots, for callers that read only the final program or the
-    /// compile error.
+    /// compile error.  The driver keeps no copy and compares nothing.
     None,
     /// Only the snapshots that make up the named pass's pairs under
     /// [`Snapshots::All`]: for every run of the pass that changed the
@@ -255,21 +258,22 @@ impl Compiler {
             bug.corrupt(&mut current);
         }
         let mut snapshots = Vec::new();
-        let mut unchanged = Vec::new();
-        // The name, area and index of the snapshot `current` has under
+        // The last emitted program, against which each pass's output is
+        // compared; `Snapshots::None` compares nothing.
+        let mut emitted =
+            (self.options.snapshots != Snapshots::None).then(|| Arc::new(current.clone()));
+        // The name, area and index of the snapshot `emitted` has under
         // `Snapshots::All`.
         let mut origin = ("<input>", PassArea::FrontEnd, 0);
-        if self.options.snapshots == Snapshots::All {
-            snapshots.push(PassSnapshot::new(origin, current.clone()));
+        if let (Snapshots::All, Some(input)) = (&self.options.snapshots, &emitted) {
+            snapshots.push(PassSnapshot::new(origin, input.clone()));
         }
 
         for (index, pass) in self.passes.iter().enumerate() {
             gauntlet_telemetry::count_pass(pass.name());
-            let mut working = current.clone();
             silence_pass_panics();
             IN_PASS.set(true);
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| pass.run(&mut working).map(|_| working)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| pass.run(&mut current)));
             IN_PASS.set(false);
             match outcome {
                 Err(panic) => {
@@ -285,43 +289,39 @@ impl Compiler {
                         diagnostics: vec![diagnostic.message],
                     });
                 }
-                Ok(Ok(transformed)) => {
-                    // Close the coverage segment for this pass run: rules it
-                    // fired become "earlier" rules for pair tracking.  A
-                    // crashing pass never reaches this; the scope flushes
-                    // its dangling segment on unwind instead.
-                    crate::coverage::pass_boundary();
-                    // Emitted programs identical to their predecessor are
-                    // ignored (paper §5.2).
-                    if transformed != current {
-                        let before = std::mem::replace(&mut current, transformed);
-                        let after = (pass.name(), pass.area(), index + 1);
-                        match &self.options.snapshots {
-                            Snapshots::All => {
-                                snapshots.push(PassSnapshot::new(after, current.clone()))
-                            }
-                            Snapshots::Pass(name) if name == pass.name() => {
-                                // Two runs in a row share their middle snapshot.
-                                if snapshots.last().map(|s: &PassSnapshot| s.pass_index)
-                                    != Some(origin.2)
-                                {
-                                    snapshots.push(PassSnapshot::new(origin, before));
-                                }
-                                snapshots.push(PassSnapshot::new(after, current.clone()));
-                            }
-                            Snapshots::Pass(_) | Snapshots::None => {}
-                        }
-                        origin = after;
-                    } else {
-                        unchanged.push(pass.name().to_string());
-                    }
-                }
+                Ok(Ok(())) => {}
             }
+            // Close the coverage segment for this pass run: rules it fired
+            // become "earlier" rules for pair tracking.  A crashing pass
+            // never reaches this; the scope flushes its dangling segment on
+            // unwind instead.
+            crate::coverage::pass_boundary();
+            // Emitted programs identical to their predecessor are ignored
+            // (paper §5.2).
+            let Some(last) = emitted.as_mut() else {
+                continue;
+            };
+            if **last == current {
+                continue;
+            }
+            let before = std::mem::replace(last, Arc::new(current.clone()));
+            let after = (pass.name(), pass.area(), index + 1);
+            match &self.options.snapshots {
+                Snapshots::All => snapshots.push(PassSnapshot::new(after, last.clone())),
+                Snapshots::Pass(name) if name == pass.name() => {
+                    // Two runs in a row share their middle snapshot.
+                    if snapshots.last().map(|s: &PassSnapshot| s.pass_index) != Some(origin.2) {
+                        snapshots.push(PassSnapshot::new(origin, before));
+                    }
+                    snapshots.push(PassSnapshot::new(after, last.clone()));
+                }
+                Snapshots::Pass(_) | Snapshots::None => {}
+            }
+            origin = after;
         }
         Ok(CompileResult {
             snapshots,
             program: current,
-            unchanged_passes: unchanged,
             coverage: crate::coverage::PassCoverage::new(),
         })
     }
@@ -402,7 +402,6 @@ mod tests {
         compiler.add_pass(Box::new(NopPass));
         let result = compiler.compile(&builder::trivial_program()).unwrap();
         assert_eq!(result.snapshots.len(), 1); // just the input
-        assert_eq!(result.unchanged_passes, vec!["Nop"]);
     }
 
     #[test]
@@ -722,7 +721,6 @@ mod tests {
         compiler.add_pass(Box::new(RoundTripPass));
         compiler.add_pass(Box::new(AppendExitPass));
         let result = compiler.compile(&builder::trivial_program()).unwrap();
-        assert_eq!(result.unchanged_passes, vec!["RoundTrip"]);
         let names: Vec<&str> = result
             .snapshots
             .iter()

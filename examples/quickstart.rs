@@ -38,10 +38,11 @@ fn main() {
             snapshot.pass_index, snapshot.pass_name, snapshot.area
         );
     }
-    println!(
-        "passes with no effect: {}",
-        result.unchanged_passes.join(", ")
-    );
+    let unchanged: Vec<String> = (compiler.pass_names().into_iter().enumerate())
+        .filter(|(index, _)| !result.snapshots.iter().any(|s| s.pass_index == index + 1))
+        .map(|(_, name)| name)
+        .collect();
+    println!("passes with no effect: {}", unchanged.join(", "));
 
     // 3. Translation validation (paper §5): compare consecutive snapshots.
     let gauntlet = Gauntlet::new(GauntletOptions::default());
