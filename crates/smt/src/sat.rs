@@ -5,8 +5,9 @@
 //! two-watched-literal unit propagation, first-UIP conflict analysis,
 //! non-chronological backjumping, VSIDS-style variable activities with phase
 //! saving, and geometric restarts.  Instances produced by Gauntlet's
-//! equivalence checks are small (hundreds to a few thousand variables), so
-//! clarity is favoured over heavy optimisation throughout.
+//! equivalence checks reach tens of thousands of variables (the
+//! `tv-reference` campaign workload builds about 38k over 13 queries) but
+//! few conflicts, so clarity is favoured over heavy optimisation.
 
 /// A propositional variable, numbered from 0.
 pub type Var = u32;
@@ -60,15 +61,6 @@ impl SatResult {
     }
 }
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    /// Whether the clause was learned during conflict analysis (kept for
-    /// statistics and future clause-database reduction).
-    #[allow(dead_code)]
-    learned: bool,
-}
-
 const UNASSIGNED: i8 = 0;
 
 /// Conflicts before the first restart.
@@ -85,7 +77,8 @@ const ACTIVITY_DECAY: f64 = 0.95;
 /// The CDCL solver.
 #[derive(Debug)]
 pub struct SatSolver {
-    clauses: Vec<Clause>,
+    /// Clause literals; the first two are watched.
+    clauses: Vec<Vec<Lit>>,
     /// watches[lit.index()] = clause indices watching `lit`.
     watches: Vec<Vec<usize>>,
     /// assign[var] = 0 unassigned, 1 true, -1 false.
@@ -100,6 +93,8 @@ pub struct SatSolver {
     /// conflict, so it must start positive or activities never move.
     var_inc: f64,
     phase: Vec<bool>,
+    /// Conflict analysis marks; all false between conflicts.
+    seen: Vec<bool>,
     /// Set when an empty clause is added; the instance is trivially UNSAT.
     trivially_unsat: bool,
     /// Statistics: number of conflicts encountered.
@@ -133,6 +128,7 @@ impl SatSolver {
             activity: Vec::new(),
             var_inc: 1.0,
             phase: Vec::new(),
+            seen: Vec::new(),
             trivially_unsat: false,
             conflicts: 0,
             decisions: 0,
@@ -148,6 +144,7 @@ impl SatSolver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.phase.push(INITIAL_PHASE);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         var
@@ -208,10 +205,7 @@ impl SatSolver {
                 let idx = self.clauses.len();
                 self.watches[reduced[0].index()].push(idx);
                 self.watches[reduced[1].index()].push(idx);
-                self.clauses.push(Clause {
-                    lits: reduced,
-                    learned: false,
-                });
+                self.clauses.push(reduced);
             }
         }
     }
@@ -250,10 +244,10 @@ impl SatSolver {
                 // Make sure the false literal is at position 1.
                 let (first, second) = {
                     let clause = &mut self.clauses[clause_idx];
-                    if clause.lits[0] == false_lit {
-                        clause.lits.swap(0, 1);
+                    if clause[0] == false_lit {
+                        clause.swap(0, 1);
                     }
-                    (clause.lits[0], clause.lits[1])
+                    (clause[0], clause[1])
                 };
                 debug_assert_eq!(second, false_lit);
                 // If the other watched literal is already true, keep watching.
@@ -265,7 +259,7 @@ impl SatSolver {
                 let mut found = None;
                 {
                     let clause = &self.clauses[clause_idx];
-                    for (j, &other) in clause.lits.iter().enumerate().skip(2) {
+                    for (j, &other) in clause.iter().enumerate().skip(2) {
                         if self.value(other) != -1 {
                             found = Some((j, other));
                             break;
@@ -273,7 +267,7 @@ impl SatSolver {
                     }
                 }
                 if let Some((j, other)) = found {
-                    self.clauses[clause_idx].lits.swap(1, j);
+                    self.clauses[clause_idx].swap(1, j);
                     self.watches[other.index()].push(clause_idx);
                     watch_list.swap_remove(i);
                     continue;
@@ -311,7 +305,6 @@ impl SatSolver {
     /// literal first) and the backjump level.
     fn analyze(&mut self, conflict: usize) -> (Vec<Lit>, u32) {
         let mut learned: Vec<Lit> = vec![Lit::positive(0)]; // placeholder for the asserting literal
-        let mut seen = vec![false; self.num_vars()];
         let mut counter = 0usize;
         let mut lit: Option<Lit> = None;
         let mut clause_idx = conflict;
@@ -319,13 +312,13 @@ impl SatSolver {
         let current_level = self.decision_level();
 
         loop {
-            let clause_lits: Vec<Lit> = self.clauses[clause_idx].lits.clone();
             // Skip the asserting literal slot on the first iteration only.
             let skip = usize::from(lit.is_some());
-            for &q in clause_lits.iter().skip(skip) {
+            for i in skip..self.clauses[clause_idx].len() {
+                let q = self.clauses[clause_idx][i];
                 let var = q.var() as usize;
-                if !seen[var] && self.level[var] > 0 {
-                    seen[var] = true;
+                if !self.seen[var] && self.level[var] > 0 {
+                    self.seen[var] = true;
                     self.bump_var(q.var());
                     if self.level[var] >= current_level {
                         counter += 1;
@@ -338,19 +331,24 @@ impl SatSolver {
             loop {
                 trail_pos -= 1;
                 let p = self.trail[trail_pos];
-                if seen[p.var() as usize] {
+                if self.seen[p.var() as usize] {
                     lit = Some(p);
                     break;
                 }
             }
             let p = lit.expect("found a literal to resolve on");
-            seen[p.var() as usize] = false;
+            self.seen[p.var() as usize] = false;
             counter -= 1;
             if counter == 0 {
                 learned[0] = p.negate();
                 break;
             }
             clause_idx = self.reason[p.var() as usize].expect("non-decision literal has a reason");
+        }
+        // Every current-level mark was cleared on resolution; the marks left
+        // are exactly the learned clause's other literals.
+        for q in &learned[1..] {
+            self.seen[q.var() as usize] = false;
         }
 
         // Compute backjump level: the highest level among the other literals.
@@ -402,10 +400,7 @@ impl SatSolver {
         self.watches[learned[0].index()].push(idx);
         self.watches[learned[1].index()].push(idx);
         let asserting = learned[0];
-        self.clauses.push(Clause {
-            lits: learned,
-            learned: true,
-        });
+        self.clauses.push(learned);
         let ok = self.enqueue(asserting, Some(idx));
         debug_assert!(ok, "asserting literal must be enqueueable after backjump");
     }
