@@ -463,8 +463,7 @@ mod tests {
                         assert!(none.snapshots.is_empty());
                         assert_eq!(none.program, all.program, "{label}, seed {seed}");
                         let last = all.snapshots.last().expect("the input snapshot");
-                        let last: &Program = &last.program;
-                        assert_eq!(*last, all.program, "{label}, seed {seed}");
+                        assert_eq!(*last.program, all.program, "{label}, seed {seed}");
                         all
                     }
                     (Err(all), Err(none)) => {
@@ -502,8 +501,7 @@ mod tests {
     }
 
     /// A pass that edits the program and then rejects it, or edits it and
-    /// then panics, is reported against that pass; its partial edits
-    /// never surface.
+    /// then panics, is reported against that pass.
     #[test]
     fn a_pass_that_fails_after_editing_is_reported() {
         struct EditThen(&'static str, fn() -> Result<(), Diagnostic>);

@@ -38,7 +38,10 @@ fn main() {
             snapshot.pass_index, snapshot.pass_name, snapshot.area
         );
     }
-    let unchanged: Vec<String> = (compiler.pass_names().into_iter().enumerate())
+    let unchanged: Vec<String> = compiler
+        .pass_names()
+        .into_iter()
+        .enumerate()
         .filter(|(index, _)| !result.snapshots.iter().any(|s| s.pass_index == index + 1))
         .map(|(_, name)| name)
         .collect();
