@@ -5,6 +5,8 @@
 //! campaign-style experiments print the table rows directly; the
 //! micro-benchmarks use Criterion for statistically meaningful timings.
 
+pub mod trajectory;
+
 use p4_gen::{GeneratorConfig, RandomProgramGenerator};
 use p4_ir::Program;
 

@@ -54,7 +54,7 @@ pub struct CampaignConfig {
     /// Also run every random program through the *correct* compiler and
     /// targets, to measure the false-alarm rate (it must be zero).
     pub check_false_alarms: bool,
-    /// Worker threads to shard the bug classes across (1 = sequential).
+    /// Worker threads to shard the bug classes across (0 runs one).
     /// The report is identical for every value.
     pub jobs: usize,
 }
@@ -189,37 +189,29 @@ fn run_bug_class(config: &CampaignConfig, bug_index: usize, bug: SeededBug) -> C
 /// identical for every thread count.
 pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
     let catalogue = SeededBug::catalogue();
-    let mut results: Vec<(usize, ClassResult)> = if config.jobs <= 1 {
-        catalogue
-            .into_iter()
-            .enumerate()
-            .map(|(index, bug)| (index, run_bug_class(config, index, bug)))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let (sender, receiver) = mpsc::channel::<(usize, ClassResult)>();
-        std::thread::scope(|scope| {
-            for _ in 0..config.jobs.min(catalogue.len()).max(1) {
-                let sender = sender.clone();
-                let next = &next;
-                let catalogue = &catalogue;
-                scope.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&bug) = catalogue.get(index) else {
-                        break;
-                    };
-                    if sender
-                        .send((index, run_bug_class(config, index, bug)))
-                        .is_err()
-                    {
-                        break;
-                    }
-                });
-            }
-        });
-        drop(sender);
-        receiver.into_iter().collect()
-    };
+    let next = AtomicUsize::new(0);
+    let (sender, receiver) = mpsc::channel::<(usize, ClassResult)>();
+    std::thread::scope(|scope| {
+        for _ in 0..config.jobs.min(catalogue.len()).max(1) {
+            let sender = sender.clone();
+            let next = &next;
+            let catalogue = &catalogue;
+            scope.spawn(move || loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&bug) = catalogue.get(index) else {
+                    break;
+                };
+                if sender
+                    .send((index, run_bug_class(config, index, bug)))
+                    .is_err()
+                {
+                    break;
+                }
+            });
+        }
+    });
+    drop(sender);
+    let mut results: Vec<(usize, ClassResult)> = receiver.into_iter().collect();
     results.sort_by_key(|(index, _)| *index);
 
     let mut database = BugDatabase::new();
@@ -362,7 +354,8 @@ pub struct HuntConfig {
     /// ([`CampaignCache::epoch_barrier`]).  Cached SAT verdicts carry
     /// canonical models, so the rendered report is byte-identical with the
     /// cache on or off, at any `--jobs`.  On by default — this is where the
-    /// campaign validate-throughput comes from (see `BENCH_pr9.json`).
+    /// campaign validate-throughput comes from (`BENCH_pr22.json` pins
+    /// the warm and cross-epoch runs at 0 solver checks).
     pub epoch_cache: bool,
     /// Flight-recorder telemetry (`--events` and the heartbeat).  `None`
     /// (the default) records nothing and pays nothing: every instrumentation

@@ -3,17 +3,21 @@
 //! restart needs, because workers are stateless by design (their whole
 //! state is the shard lease, which the coordinator re-issues).
 //!
-//! A checkpoint carries the spec, every completed fragment verbatim, the
-//! triage store, and — derived but stored explicitly so `fleet status` and
-//! external tools need no merge logic — the corpus-so-far, its coverage
-//! fingerprint, and the done/remaining shard map.  Saves are atomic
+//! A checkpoint carries the spec, the triage store and every completed
+//! fragment, minus the fragment's run-descriptive `cache` block: those
+//! counters describe the run that produced the shard, not its result.  A
+//! resumed run's `run.cache` therefore covers only the shards it ran
+//! itself.  Anything else `fleet status` shows (remaining shards, the
+//! corpus so far) is recomputed from the fragments.  Saves are atomic
 //! (write-to-temp, rename), so a coordinator killed mid-checkpoint leaves
 //! the previous checkpoint intact rather than a torn file.
 //!
 //! Resume correctness: the final report is a pure function of the fragment
 //! set (see `merge`), and the triage store's merge is order-independent, so
 //! a resumed run converges on byte-identical artifacts no matter where the
-//! original died (pinned by `tests/fleet.rs`).
+//! original died (pinned by `tests/fleet.rs`).  Older checkpoints that also
+//! stored the derived `shards`, `corpus` and `fingerprint` blocks and the
+//! fragments' `cache` blocks still load: those keys are ignored.
 
 use crate::merge::refilter_corpus;
 use crate::spec::FleetSpec;
@@ -78,7 +82,8 @@ impl From<CheckpointError> for String {
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     pub spec: FleetSpec,
-    /// Completed shards: fragment bodies exactly as the workers sent them.
+    /// Completed shards: fragment bodies as the workers sent them (a
+    /// loaded checkpoint's fragments lack the `cache` block).
     pub fragments: BTreeMap<usize, Json>,
     pub triage: TriageStore,
     /// True once every shard has completed (the final checkpoint of a
@@ -96,30 +101,23 @@ impl Checkpoint {
 
     /// The checkpoint document.  Fragment bodies are rendered in place
     /// rather than cloned into a tree: they are most of the bytes.
-    pub fn to_json(&self) -> Result<String, String> {
-        let corpus = refilter_corpus(&self.fragments)?;
-        let shards = json::object([
-            ("total", self.spec.shard_count().into()),
-            (
-                "done",
-                self.fragments.keys().copied().collect::<Vec<_>>().into(),
-            ),
-            ("remaining", self.remaining_shards().into()),
-        ]);
-        Ok(json::render_object(|doc| {
+    pub fn to_json(&self) -> String {
+        json::render_object(|doc| {
             doc.field("schema", &CHECKPOINT_SCHEMA.into())
                 .field("complete", &self.complete.into())
                 .field("spec", &self.spec.to_json())
-                .field("shards", &shards)
-                .field("corpus", &corpus.to_text().into())
-                .field("fingerprint", &corpus.fingerprint().into())
                 .field("triage", &self.triage.to_json())
                 .object("fragments", |fragments| {
                     for (shard, body) in &self.fragments {
-                        fragments.field(&shard.to_string(), body);
+                        fragments.object(&shard.to_string(), |fragment| {
+                            let fields = body.as_object().unwrap_or_default();
+                            for (key, value) in fields.iter().filter(|(key, _)| key != "cache") {
+                                fragment.field(key, value);
+                            }
+                        });
                     }
                 });
-        }))
+        })
     }
 
     pub fn from_json(value: &Json) -> Result<Checkpoint, String> {
@@ -145,7 +143,7 @@ impl Checkpoint {
     /// Atomic save: write a sibling temp file, then rename over the target.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), String> {
         let path = path.as_ref();
-        let bytes = self.to_json()?;
+        let bytes = self.to_json();
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, bytes).map_err(|error| format!("write {}: {error}", tmp.display()))?;
         std::fs::rename(&tmp, path)
@@ -262,13 +260,19 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_through_json() {
         let checkpoint = sample();
-        let bytes = checkpoint.to_json().expect("serializes");
+        let bytes = checkpoint.to_json();
         let back = Checkpoint::from_json(&json::parse(&bytes).expect("parses")).expect("loads");
         assert_eq!(back.spec, checkpoint.spec);
         assert_eq!(back.fragments, checkpoint.fragments);
         assert_eq!(back.triage.to_json(), checkpoint.triage.to_json());
         assert!(!back.complete);
-        assert_eq!(back.to_json().expect("re-serializes"), bytes);
+        assert_eq!(back.to_json(), bytes);
+        // A fragment's run-descriptive cache block is not persisted.
+        let mut cached = checkpoint.clone();
+        if let Some(Json::Object(fields)) = cached.fragments.get_mut(&0) {
+            fields.push(("cache".into(), json::object([("epochs", 1u64.into())])));
+        }
+        assert_eq!(cached.to_json(), bytes);
     }
 
     /// Seeds above 2^53 (where an `f64` starts rounding) survive every

@@ -62,11 +62,6 @@ impl BinOp {
         matches!(self, BinOp::And | BinOp::Or)
     }
 
-    /// True for operators defined on `bit<N>` operands.
-    pub fn is_arithmetic(self) -> bool {
-        !self.is_comparison() && !self.is_logical()
-    }
-
     /// Source-level token for this operator.
     pub fn symbol(self) -> &'static str {
         match self {

@@ -270,29 +270,10 @@ pub fn figure3_table_control() -> (Vec<Declaration>, Block) {
     (locals, apply)
 }
 
-/// Builds the skeleton ingress parameter list (useful for constructing
-/// controls by hand in tests).
-pub fn ingress_params() -> Vec<Param> {
-    Architecture::v1model()
-        .block("ingress")
-        .expect("v1model has an ingress block")
-        .params
-        .clone()
-}
-
 /// Returns an l-value expression for the given dotted path, e.g.
 /// `lval(&["hdr", "h", "a"])`.
 pub fn lval(parts: &[&str]) -> Expr {
     Expr::dotted(parts)
-}
-
-/// Declares a fresh local variable statement `bit<width> name = init;`.
-pub fn declare_var(name: &str, width: u32, init: Option<Expr>) -> Statement {
-    Statement::Declare {
-        name: name.into(),
-        ty: Type::bits(width),
-        init,
-    }
 }
 
 #[cfg(test)]

@@ -63,11 +63,6 @@ impl Type {
         matches!(self, Type::Bits { .. })
     }
 
-    /// True for scalar (non-aggregate) value types.
-    pub fn is_scalar(&self) -> bool {
-        matches!(self, Type::Bool | Type::Bits { .. })
-    }
-
     /// True for header or struct aggregates.
     pub fn is_aggregate(&self) -> bool {
         matches!(self, Type::Header(_) | Type::Struct(_))

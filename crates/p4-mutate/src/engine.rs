@@ -81,12 +81,6 @@ impl MutationEngine {
         }
     }
 
-    /// An engine over an explicit catalogue (tests, focused campaigns).
-    pub fn with_mutators(mutators: Vec<Box<dyn Mutator>>) -> MutationEngine {
-        assert!(!mutators.is_empty(), "engine needs at least one mutator");
-        MutationEngine { mutators }
-    }
-
     pub fn mutators(&self) -> &[Box<dyn Mutator>] {
         &self.mutators
     }

@@ -135,33 +135,16 @@ pub fn check_equivalence(
     let tm = Arc::new(TermManager::new());
     let semantics_before = interpret_program(&tm, before)?;
     let semantics_after = interpret_program(&tm, after)?;
-    check_semantics_equivalence(&tm, &semantics_before, &semantics_after)
-}
-
-/// Equivalence over already-computed semantics (both must come from `tm`).
-pub fn check_semantics_equivalence(
-    tm: &Arc<TermManager>,
-    before: &ProgramSemantics,
-    after: &ProgramSemantics,
-) -> Result<Equivalence, EquivalenceError> {
     let mut solver = Solver::new();
-    check_semantics_equivalence_with(tm, &mut solver, before, after)
-}
-
-/// Equivalence over already-computed semantics, deciding the per-block
-/// queries with the caller's (possibly long-lived) `solver`.  The queries
-/// are passed as assumptions, so nothing is retained in the solver — but
-/// its term-to-CNF memo and learned clauses carry over to later calls,
-/// which is where the incremental speedup of a [`ValidationSession`] comes
-/// from.
-pub fn check_semantics_equivalence_with(
-    tm: &Arc<TermManager>,
-    solver: &mut Solver,
-    before: &ProgramSemantics,
-    after: &ProgramSemantics,
-) -> Result<Equivalence, EquivalenceError> {
-    check_semantics_equivalence_via(tm, solver, None, Mode::Counterexample, before, after)
-        .map(|(difference, _)| difference.into())
+    check_semantics_equivalence_via(
+        &tm,
+        &mut solver,
+        None,
+        Mode::Counterexample,
+        &semantics_before,
+        &semantics_after,
+    )
+    .map(|(difference, _)| difference.into())
 }
 
 /// Re-derives the distinguishing model for a satisfiable query from the

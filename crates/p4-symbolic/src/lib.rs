@@ -15,9 +15,8 @@ pub mod testgen;
 
 pub use cache::{CacheBudget, CacheStats, CampaignCache};
 pub use equivalence::{
-    check_equivalence, check_semantics_equivalence, check_semantics_equivalence_with,
-    difference_headline, Counterexample, Equivalence, EquivalenceError, PairVerdict, SessionStats,
-    ValidationSession,
+    check_equivalence, difference_headline, Counterexample, Equivalence, EquivalenceError,
+    PairVerdict, SessionStats, ValidationSession,
 };
 pub use interpreter::{
     interpret_program, BlockSemantics, InterpError, ProgramSemantics, TableInfo,

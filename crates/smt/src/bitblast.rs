@@ -28,13 +28,6 @@ impl Repr {
             }
         }
     }
-
-    pub fn as_bits(&self) -> &[Lit] {
-        match self {
-            Repr::Bits(bits) => bits,
-            Repr::Bool(_) => panic!("bit-vector view of a boolean representation"),
-        }
-    }
 }
 
 /// The persistent state of a bit-blasting session: the term-to-CNF memo and
@@ -69,16 +62,6 @@ impl BlastContext {
     /// extraction after a SAT result.
     pub fn variables(&self) -> &HashMap<VarName, Repr> {
         &self.vars
-    }
-
-    /// Number of memoised term encodings.
-    pub fn memo_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Whether the term with this id already has a CNF encoding.
-    pub fn is_memoised(&self, term_id: u64) -> bool {
-        self.cache.contains_key(&term_id)
     }
 
     /// Cache hits in the current generation against encodings built by

@@ -4,9 +4,7 @@
 //! plain element-wise addition: associative, commutative, and therefore
 //! independent of the order in which per-worker recorders are folded together
 //! at the epoch barrier.  Percentiles are reconstructed from the buckets
-//! (upper-bound estimate, clamped to the exact observed maximum), matching
-//! the `p50_us`/`p90_us`/`p99_us`/`max_us` fields the committed `BENCH_*.json`
-//! trajectory files carry.
+//! (upper-bound estimate, clamped to the exact observed maximum).
 
 /// Number of power-of-two buckets.  Bucket 63 holds everything from
 /// `2^62` µs up, far beyond any realistic solver query.

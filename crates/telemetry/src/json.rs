@@ -7,8 +7,8 @@
 //! One module owns the format so that no writer can drift from it: objects
 //! keep their insertion order (each writer fixes its key order, and the
 //! golden tests pin the bytes), non-negative integers stay exact over the
-//! whole `u64` range, and strings are escaped one way.  `trajectory.rs`'s
-//! committed `BENCH_*.json` files use the same [`string`]/[`number`] rules.
+//! whole `u64` range, and strings are escaped one way.  The committed
+//! `BENCH_pr*.json` trajectory baseline is rendered by it too.
 
 use std::collections::BTreeMap;
 use std::fmt::Write;

@@ -17,8 +17,12 @@
 //! All of these drive the *real* `gauntlet` binary as worker processes
 //! (`CARGO_BIN_EXE_gauntlet`), not an in-process simulation.
 
-use gauntlet_core::{Corpus, ParallelCampaign, Platform, SeededBug};
-use gauntlet_fleet::{coordinator, Checkpoint, CompilerSpec, FleetMode, FleetOptions, FleetSpec};
+use gauntlet_core::{cache_json, CacheSummary, Corpus, ParallelCampaign, Platform, SeededBug};
+use gauntlet_fleet::{
+    coordinator, refilter_corpus, Checkpoint, CompilerSpec, FleetMode, FleetOptions, FleetSpec,
+    CHECKPOINT_SCHEMA,
+};
+use gauntlet_telemetry::json::{self, Json};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -171,6 +175,72 @@ fn checkpointed_runs_resume_to_the_identical_final_report() {
     assert!(last.complete);
     assert!(last.remaining_shards().is_empty());
     assert!(last.render_status().contains("COMPLETE"));
+    let _ = std::fs::remove_file(&checkpoint_path);
+}
+
+/// Checkpoints once also stored the derived `shards`, `corpus` and
+/// `fingerprint` blocks and every fragment's `cache` counters.  A file in
+/// that layout still loads and resumes to the same final report.
+#[test]
+fn old_layout_checkpoints_still_resume_to_the_identical_final_report() {
+    let mut spec = spec(8, 2);
+    let checkpoint_path = scratch("old-layout.ckpt");
+    let _ = std::fs::remove_file(&checkpoint_path);
+    spec.checkpoint = Some(checkpoint_path.display().to_string());
+    let (expect_render, _) = baseline(&spec, "old-layout");
+
+    let mut options = FleetOptions::new(spec.clone(), worker_command());
+    options.quiet = true;
+    options.stop_after_checkpoints = Some(1);
+    assert!(
+        coordinator::hunt(options)
+            .expect("interrupted hunt")
+            .interrupted
+    );
+
+    // Rewrite the checkpoint in the old layout.
+    let checkpoint = Checkpoint::load(&checkpoint_path).expect("checkpoint loads");
+    assert!((1..4).contains(&checkpoint.fragments.len()));
+    let corpus = refilter_corpus(&checkpoint.fragments).expect("corpus");
+    let fragments = checkpoint.fragments.iter().map(|(shard, body)| {
+        let mut fields = body.as_object().expect("fragment object").to_vec();
+        fields.push(("cache".into(), cache_json(&CacheSummary::default())));
+        (shard.to_string(), Json::Object(fields))
+    });
+    let old = json::object([
+        ("schema", CHECKPOINT_SCHEMA.into()),
+        ("complete", false.into()),
+        ("spec", checkpoint.spec.to_json()),
+        (
+            "shards",
+            json::object([
+                ("total", checkpoint.spec.shard_count().into()),
+                (
+                    "done",
+                    checkpoint
+                        .fragments
+                        .keys()
+                        .copied()
+                        .collect::<Vec<_>>()
+                        .into(),
+                ),
+                ("remaining", checkpoint.remaining_shards().into()),
+            ]),
+        ),
+        ("corpus", corpus.to_text().into()),
+        ("fingerprint", corpus.fingerprint().into()),
+        ("triage", checkpoint.triage.to_json()),
+        ("fragments", json::object(fragments)),
+    ]);
+    std::fs::write(&checkpoint_path, json::render(&old)).expect("write old layout");
+
+    let loaded = Checkpoint::load(&checkpoint_path).expect("old layout loads");
+    assert_eq!(loaded.remaining_shards(), checkpoint.remaining_shards());
+    let mut options = FleetOptions::new(spec, worker_command());
+    options.quiet = true;
+    let outcome = coordinator::resume(options, loaded).expect("fleet resume");
+    let report = outcome.report.expect("resumed run completes");
+    assert_eq!(report.render(), expect_render);
     let _ = std::fs::remove_file(&checkpoint_path);
 }
 

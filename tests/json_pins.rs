@@ -225,9 +225,10 @@ fn worker_command() -> Vec<String> {
 }
 
 /// A small coverage-on, one-worker, swarm-diversity deterministic fleet
-/// hunt against a seeded compiler: the checkpoint file, one stored fragment
-/// body (also as a worker frame), the merged report document and the merged
-/// event log.
+/// hunt against a seeded compiler: the checkpoint file, one fragment body
+/// as the checkpoint stores it (without the worker's run-descriptive
+/// `cache` block; also as a worker frame), the merged report document and
+/// the merged event log.
 #[test]
 fn fleet_documents_keep_their_bytes() {
     let dir = std::env::temp_dir().join(format!("gauntlet-json-pins-{}", std::process::id()));
@@ -283,9 +284,9 @@ fn fleet_documents_keep_their_bytes() {
     check(
         &pins,
         &[
-            ("checkpoint", "3f7324887ea6a051"),
-            ("fragment", "31bf1117611e8bed"),
-            ("fragment_frame", "b227a46dc33ca821"),
+            ("checkpoint", "1f99a293d124d77c"),
+            ("fragment", "f9b5a6f764df93a8"),
+            ("fragment_frame", "440a7137b934a742"),
             ("report", "6c95113cf43ac377"),
             ("triage", "78520221baf2a246"),
             ("events", "b8832c78b33d21e8"),
