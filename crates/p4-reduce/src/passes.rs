@@ -1045,6 +1045,70 @@ mod tests {
         assert!(find_expr(&mut scratch, sites).1.is_none());
     }
 
+    /// The statement-list and expression sites of the fixture, in the
+    /// order the reducer addresses them.
+    #[test]
+    fn traversal_sites_are_pinned() {
+        let mut program = traversal_fixture();
+        let lists: Vec<String> = (0..stmt_list_count(&program))
+            .map(|site| {
+                stmt_list_at(&program, site)
+                    .iter()
+                    .map(|stmt| p4_ir::print_statement(stmt).trim().replace('\n', " "))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        let mut exprs = Vec::new();
+        while let (_, Some(node)) = find_expr(&mut program, exprs.len()) {
+            exprs.push(p4_ir::print_expr(node));
+        }
+        assert_eq!(
+            lists,
+            [
+                "packet.extract(hdr.eth);",
+                "packet.extract(hdr.h);",
+                "hdr.h.a = (hdr.h.b + 8w1);",
+                "return (x * 8w2);",
+                "if ((hdr.h.a < 8w9)) {     meta.flag = (true ? 8w1 : 8w2); } else {     meta.flag = 8w3; }",
+                "meta.flag = (true ? 8w1 : 8w2);",
+                "",
+                "packet.emit(hdr.eth); packet.emit(hdr.h);",
+            ]
+        );
+        assert_eq!(
+            exprs,
+            [
+                "hdr.eth",
+                "hdr",
+                "hdr.h",
+                "hdr",
+                "(hdr.h.b + 8w1)",
+                "hdr.h.b",
+                "hdr.h",
+                "hdr",
+                "8w1",
+                "(x * 8w2)",
+                "x",
+                "8w2",
+                "(hdr.h.a < 8w9)",
+                "hdr.h.a",
+                "hdr.h",
+                "hdr",
+                "8w9",
+                "(true ? 8w1 : 8w2)",
+                "true",
+                "8w1",
+                "8w2",
+                "8w3",
+                "hdr.eth",
+                "hdr",
+                "hdr.h",
+                "hdr",
+            ]
+        );
+    }
+
     #[test]
     fn expr_candidates_respect_operator_classes() {
         let cmp = Expr::binary(BinOp::Lt, Expr::path("x"), Expr::uint(3, 8));

@@ -5,7 +5,9 @@
 //! (b) is at most 40% of the original program's statement count on median,
 //! and (c) is byte-identical across `--jobs` settings.
 
-use gauntlet_core::{Gauntlet, HuntConfig, ParallelCampaign, Platform, SeededBug};
+use gauntlet_core::{
+    Gauntlet, HuntConfig, HuntReport, MetamorphicOptions, ParallelCampaign, Platform, SeededBug,
+};
 use p4_gen::RandomProgramGenerator;
 use p4_reduce::statement_count;
 
@@ -203,25 +205,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Golden reduction bytes: a small reducing hunt, pinned as one FNV-1a
-/// fingerprint over the rendered report plus every report's full message
-/// (counterexample included), minimized source and reduction stats.  Any
-/// change to what the reducer accepts, to the order it tries candidates in,
-/// or to the counterexamples the oracle reports moves the fingerprint; a
-/// pure speed-up of the reduction oracle must leave it untouched.
-#[test]
-fn reducing_hunt_bytes_are_pinned() {
-    let bug = SeededBug::FrontEnd(p4c::FrontEndBugClass::DefUseDropsParameterWrites);
-    let hunt = ParallelCampaign::new(HuntConfig {
-        jobs: 1,
-        seed_count: 30,
-        reduce_reports: true,
-        ..HuntConfig::default()
-    })
-    .run(|| bug.build_compiler());
+/// The bytes a reduction pin fingerprints: the rendered report plus every
+/// report's full message (counterexample included), minimized source and
+/// reduction stats.
+fn reduction_bytes(hunt: &HuntReport) -> String {
     assert!(hunt.total_bugs > 0, "the seeded bug must fire");
     assert_eq!(hunt.reduction_failures, 0);
-
     let mut bytes = hunt.render();
     for outcome in &hunt.outcomes {
         for report in &outcome.reports {
@@ -232,11 +221,66 @@ fn reducing_hunt_bytes_are_pinned() {
             ));
         }
     }
+    bytes
+}
+
+/// A one-worker reducing hunt of `seed_count` seeds against `bug`.
+fn reducing_hunt(
+    bug: SeededBug,
+    seed_count: usize,
+    mutation: Option<MetamorphicOptions>,
+) -> HuntReport {
+    ParallelCampaign::new(HuntConfig {
+        jobs: 1,
+        seed_count,
+        reduce_reports: true,
+        mutation,
+        ..HuntConfig::default()
+    })
+    .run(|| bug.build_compiler())
+}
+
+fn assert_pinned(bytes: &str, fingerprint: &str) {
     assert_eq!(
         format!("{:016x}", fnv1a(bytes.as_bytes())),
-        "1e272668bf867de8",
+        fingerprint,
         "reduction output changed:\n{bytes}"
     );
+}
+
+/// Golden reduction bytes: a small reducing hunt, pinned as one FNV-1a
+/// fingerprint over [`reduction_bytes`].  Any change to what the reducer
+/// accepts, to the order it tries candidates in, or to the counterexamples
+/// the oracle reports moves the fingerprint; a pure speed-up of the
+/// reduction oracle must leave it untouched.
+#[test]
+fn reducing_hunt_bytes_are_pinned() {
+    let bug = SeededBug::FrontEnd(p4c::FrontEndBugClass::DefUseDropsParameterWrites);
+    let hunt = reducing_hunt(bug, 30, None);
+    assert_pinned(&reduction_bytes(&hunt), "1e272668bf867de8");
+}
+
+/// Golden reduction bytes of a crash-class hunt, whose findings reduce
+/// through the crash oracle: declaration, structure and statement pruning
+/// around a crashing function body.
+#[test]
+fn reducing_crash_hunt_bytes_are_pinned() {
+    let bug = SeededBug::FrontEnd(p4c::FrontEndBugClass::InlineCrashOnConditional);
+    let hunt = reducing_hunt(bug, 100, None);
+    assert_pinned(&reduction_bytes(&hunt), "935e4bfe1a35afb3");
+}
+
+/// Golden reduction bytes of a mutation-origin hunt: a driver defect only
+/// the metamorphic oracle convicts, so every finding reduces through it.
+#[test]
+fn reducing_mutation_hunt_bytes_are_pinned() {
+    let bug = SeededBug::Driver(p4c::DriverBugClass::SnapshotDropsFinalWrite);
+    let mutation = MetamorphicOptions {
+        mutants_per_seed: 3,
+        ..MetamorphicOptions::default()
+    };
+    let hunt = reducing_hunt(bug, 40, Some(mutation));
+    assert_pinned(&reduction_bytes(&hunt), "f062426408836122");
 }
 
 /// The crash oracle compiles without per-pass snapshots, which it never
