@@ -447,7 +447,6 @@ mod tests {
             }),
             mutation: Some(p4_mutate::MetamorphicOptions {
                 mutants_per_seed: 1,
-                ..Default::default()
             }),
             ..HuntConfig::default()
         })

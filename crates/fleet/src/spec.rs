@@ -222,9 +222,8 @@ impl FleetSpec {
                 corpus: None,
                 ..CoverageOptions::default()
             }),
-            mutation: (self.mutants_per_seed > 0).then(|| MetamorphicOptions {
+            mutation: (self.mutants_per_seed > 0).then_some(MetamorphicOptions {
                 mutants_per_seed: self.mutants_per_seed,
-                ..MetamorphicOptions::default()
             }),
             ..HuntConfig::default()
         })

@@ -619,14 +619,7 @@ impl<'a> Checker<'a> {
             }
         }
         self.validate_expr(expr, scope);
-        type_of(self.env, scope, expr).or_else(|| self.literal_type(expr))
-    }
-
-    fn literal_type(&self, expr: &Expr) -> Option<Type> {
-        match expr {
-            Expr::Int { width: None, .. } => None,
-            _ => None,
-        }
+        type_of(self.env, scope, expr)
     }
 
     fn is_global_name(&self, name: &str) -> bool {

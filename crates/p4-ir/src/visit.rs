@@ -300,22 +300,23 @@ pub fn mutate_walk_expr<M: Mutator + ?Sized>(m: &mut M, expr: &mut Expr) {
     }
 }
 
-/// Applies `f` to every statement *list* reachable from `block`, outermost
-/// first: the block's own list, then — in statement order — the lists nested
+/// Applies `f` to every statement *list* reachable from `list`, outermost
+/// first: `list` itself, then — in statement order — the lists nested
 /// inside child blocks and `if` branches.  Statement lists (rather than
 /// individual statements) are the unit of interest for transformations that
 /// insert, splice, or reorder statements: `p4-mutate`'s program mutators and
-/// `p4-reduce`'s statement-level ddmin both address sites this way.
-pub fn for_each_statement_list<F: FnMut(&[Statement])>(block: &Block, f: &mut F) {
-    f(&block.statements);
-    for stmt in &block.statements {
+/// `p4-reduce`'s statement-level ddmin both address sites this way.  The
+/// root is a bare list so block bodies and parser-state bodies walk alike.
+pub fn for_each_statement_list<F: FnMut(&[Statement])>(list: &[Statement], f: &mut F) {
+    f(list);
+    for stmt in list {
         nested_statement_lists(stmt, f);
     }
 }
 
 fn nested_statement_lists<F: FnMut(&[Statement])>(stmt: &Statement, f: &mut F) {
     match stmt {
-        Statement::Block(block) => for_each_statement_list(block, f),
+        Statement::Block(block) => for_each_statement_list(&block.statements, f),
         Statement::If {
             then_branch,
             else_branch,
@@ -336,16 +337,19 @@ fn nested_statement_lists<F: FnMut(&[Statement])>(stmt: &Statement, f: &mut F) {
 /// *after* `f` ran on it, so statements inserted by `f` are themselves
 /// visited — callers that must mutate only one site should latch on the
 /// first hit.
-pub fn for_each_statement_list_mut<F: FnMut(&mut Vec<Statement>)>(block: &mut Block, f: &mut F) {
-    f(&mut block.statements);
-    for stmt in &mut block.statements {
+pub fn for_each_statement_list_mut<F: FnMut(&mut Vec<Statement>)>(
+    list: &mut Vec<Statement>,
+    f: &mut F,
+) {
+    f(list);
+    for stmt in list {
         nested_statement_lists_mut(stmt, f);
     }
 }
 
 fn nested_statement_lists_mut<F: FnMut(&mut Vec<Statement>)>(stmt: &mut Statement, f: &mut F) {
     match stmt {
-        Statement::Block(block) => for_each_statement_list_mut(block, f),
+        Statement::Block(block) => for_each_statement_list_mut(&mut block.statements, f),
         Statement::If {
             then_branch,
             else_branch,
@@ -465,7 +469,7 @@ mod tests {
         ]);
         let mut lists = 0;
         let mut statements = 0;
-        for_each_statement_list(&nested, &mut |list| {
+        for_each_statement_list(&nested.statements, &mut |list| {
             lists += 1;
             statements += list.len();
         });
@@ -477,7 +481,7 @@ mod tests {
         // The mutable walker can splice; inserted statements are visited.
         let mut block = nested;
         let mut first = true;
-        for_each_statement_list_mut(&mut block, &mut |list| {
+        for_each_statement_list_mut(&mut block.statements, &mut |list| {
             if first {
                 first = false;
                 list.insert(0, Statement::Empty);

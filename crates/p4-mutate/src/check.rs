@@ -29,21 +29,20 @@ use serde::{Deserialize, Serialize};
 /// dedup keys would never match).
 pub const CAMPAIGN_MUTATION_SEED: u64 = 0x4D55_5441_5445;
 
-/// Options of a metamorphic check (the `--mutate` knobs).
+/// Maximum mutation-chain length per mutant.
+pub const MAX_CHAIN: usize = 4;
+
+/// Options of a metamorphic check (the `--mutants` knob).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetamorphicOptions {
-    /// Mutants generated and checked per seed program
-    /// (`--mutations-per-seed`).
+    /// Mutants generated and checked per seed program (`--mutants`).
     pub mutants_per_seed: usize,
-    /// Maximum mutation-chain length per mutant.
-    pub max_chain: usize,
 }
 
 impl Default for MetamorphicOptions {
     fn default() -> Self {
         MetamorphicOptions {
             mutants_per_seed: 3,
-            max_chain: 4,
         }
     }
 }
@@ -206,11 +205,9 @@ impl MetamorphicChecker {
         let _telemetry = gauntlet_telemetry::Span::begin(gauntlet_telemetry::Stage::Mutate);
         let mut outcome = MetamorphicOutcome::default();
         for index in 0..options.mutants_per_seed {
-            let mutant = self.engine.mutate(
-                program,
-                MutationEngine::mutant_seed(seed, index),
-                options.max_chain,
-            );
+            let mutant =
+                self.engine
+                    .mutate(program, MutationEngine::mutant_seed(seed, index), MAX_CHAIN);
             if mutant.chain.is_empty() {
                 continue;
             }

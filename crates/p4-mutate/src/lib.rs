@@ -39,6 +39,7 @@ pub mod registry;
 pub use check::{
     divergence_headline, ChainOutcome, MetamorphicChecker, MetamorphicFinding,
     MetamorphicFindingKind, MetamorphicOptions, MetamorphicOutcome, CAMPAIGN_MUTATION_SEED,
+    MAX_CHAIN,
 };
 pub use engine::{chain_key, hunt_mutation_seed, AppliedMutation, Mutant, MutationEngine};
 pub use mutators::{standard_mutators, Mutator};

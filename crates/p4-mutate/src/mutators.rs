@@ -83,7 +83,7 @@ fn control_scope(env: &TypeEnv, program: &Program, control: &ControlDecl) -> Sco
             _ => {}
         }
     }
-    for_each_statement_list(&control.apply, &mut |list| {
+    for_each_statement_list(&control.apply.statements, &mut |list| {
         for stmt in list {
             match stmt {
                 Statement::Declare { name, ty, .. } | Statement::Constant { name, ty, .. } => {
@@ -113,7 +113,7 @@ fn apply_at_nth_site(
         if fired.is_some() {
             break;
         }
-        for_each_statement_list_mut(&mut control.apply, &mut |list| {
+        for_each_statement_list_mut(&mut control.apply.statements, &mut |list| {
             if fired.is_some() {
                 return;
             }
@@ -130,7 +130,9 @@ fn apply_at_nth_site(
 fn total_sites(program: &Program, count_in: &dyn Fn(&[Statement]) -> usize) -> usize {
     let mut total = 0usize;
     for control in program.controls() {
-        for_each_statement_list(&control.apply, &mut |list| total += count_in(list));
+        for_each_statement_list(&control.apply.statements, &mut |list| {
+            total += count_in(list)
+        });
     }
     total
 }
@@ -206,7 +208,7 @@ impl Mutator for AlgebraicRewrite {
         for control in program.controls() {
             let scope = control_scope(&env, program, control);
             let mut count = 0usize;
-            for_each_statement_list(&control.apply, &mut |list| {
+            for_each_statement_list(&control.apply.statements, &mut |list| {
                 count += list
                     .iter()
                     .filter(|s| assign_width(&env, &scope, s).is_some())
@@ -232,7 +234,7 @@ impl Mutator for AlgebraicRewrite {
             let control = program
                 .control_mut(&name)
                 .expect("control name from phase 1");
-            for_each_statement_list_mut(&mut control.apply, &mut |list| {
+            for_each_statement_list_mut(&mut control.apply.statements, &mut |list| {
                 if fired.is_some() {
                     return;
                 }
@@ -386,7 +388,7 @@ pub struct OpaqueGuard;
 fn fresh_opaque_name(program: &Program) -> String {
     let mut highest: Option<u32> = None;
     for control in program.controls() {
-        for_each_statement_list(&control.apply, &mut |list| {
+        for_each_statement_list(&control.apply.statements, &mut |list| {
             for stmt in list {
                 if let Statement::Declare { name, .. } = stmt {
                     if let Some(index) = name.strip_prefix("__opq").and_then(|s| s.parse().ok()) {

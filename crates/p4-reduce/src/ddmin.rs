@@ -3,9 +3,10 @@
 //!
 //! `ddmin` shrinks a list of items while a caller-supplied test keeps
 //! succeeding on the shrunk list.  It is the workhorse under the
-//! declaration- and statement-level reduction passes: the "items" are
-//! declarations or statements, and the test builds a candidate program and
-//! asks the bug oracle whether it still reproduces the target finding.
+//! declaration-, control-local- and statement-level reduction steps: the
+//! "items" are declarations or statements, and the test builds a candidate
+//! program and asks the bug oracle whether it still reproduces the target
+//! finding.
 
 /// Minimises `items` under `test`: returns a (locally) 1-minimal
 /// subsequence for which `test` still returns true.

@@ -8,12 +8,13 @@
 //!   algorithm over an arbitrary item list;
 //! * [`metamorphic`] — ddmin over the applied-mutation chain of a
 //!   `p4-mutate` finding ([`minimize_chain`]);
-//! * [`passes`] — the [`ReductionPass`] catalogue: ddmin over top-level
-//!   declarations, statement-list ddmin inside every block, expression
-//!   simplification, and table/parser-state pruning;
-//! * [`reducer`] — the fixpoint [`Reducer`] driver with a deterministic
-//!   schedule, an oracle-call budget, and [`ReductionStats`], behind the
-//!   one-method [`Oracle`] trait.
+//! * `passes` — the four reduction steps, run in a fixed order: ddmin over
+//!   top-level declarations, structural pruning (control locals, table keys
+//!   and actions, parser `select`s and states), statement-list ddmin inside
+//!   every block, and expression simplification;
+//! * [`reducer`] — the fixpoint [`Reducer`] driver: rounds over that
+//!   schedule under an oracle-call budget, with [`ReductionStats`], behind
+//!   the one-method [`Oracle`] trait.
 //!
 //! The oracles themselves live in `gauntlet-core`, next to the detection
 //! pipeline they re-run: an oracle answers whether a candidate still files
@@ -21,17 +22,15 @@
 //! through `p4_check` before the oracle sees it, so a reducer output always
 //! typechecks; and a candidate is only accepted when the oracle reproduces
 //! the *same* key, so reduction can never migrate onto a different bug.
-//! All passes are deterministic, which makes the minimised program a pure
+//! Every step is deterministic, which makes the minimised program a pure
 //! function of (program, key, budget).
 
 pub mod ddmin;
 pub mod metamorphic;
-pub mod passes;
+mod passes;
 pub mod reducer;
 
 pub use ddmin::ddmin;
 pub use metamorphic::minimize_chain;
-pub use passes::{
-    statement_count, DeclarationDdmin, ExprSimplify, ReductionPass, StatementDdmin, StructurePrune,
-};
+pub use passes::statement_count;
 pub use reducer::{Oracle, Reducer, ReducerConfig, Reduction, ReductionStats};

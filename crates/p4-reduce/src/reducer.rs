@@ -1,17 +1,17 @@
 //! The fixpoint reduction driver.
 //!
-//! Runs the [`ReductionPass`] schedule round-robin until a full round makes
-//! no progress (or the oracle-call budget runs out), gating every candidate
-//! through `p4_check` re-typechecking and the bug oracle.  Everything is
-//! deterministic: the schedule is fixed, the passes are pure, and the
+//! Runs the fixed four-step schedule — declaration ddmin, structural
+//! pruning, statement ddmin, expression simplification — round after round
+//! until a full round makes no progress, four rounds have run, or
+//! the oracle-call budget runs out, gating every candidate through
+//! `p4_check` re-typechecking and the bug oracle.  Everything is
+//! deterministic: the schedule is fixed, the steps are pure, and the
 //! budget is counted in oracle calls rather than wall-clock time, so the
 //! minimised program is a pure function of (program, target key,
 //! configuration) — which is what lets the campaign engine shard reduction
 //! across worker threads and still commit byte-identical reports.
 
-use crate::passes::{
-    statement_count, DeclarationDdmin, ExprSimplify, ReductionPass, StatementDdmin, StructurePrune,
-};
+use crate::passes::{statement_count, SCHEDULE};
 use p4_ir::Program;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -31,23 +31,23 @@ impl<F: FnMut(&Program, &str) -> bool> Oracle for F {
     }
 }
 
-/// Reduction budget and schedule limits.
+/// Maximum rounds over the schedule; reduction normally reaches a fixpoint
+/// in two or three.
+const MAX_ROUNDS: usize = 4;
+
+/// The reduction budget.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReducerConfig {
     /// Hard budget of oracle invocations (the expensive part of a shrink
     /// step; typechecking rejected candidates is not counted).  When the
     /// budget runs out the reducer freezes the current best program.
     pub max_oracle_calls: usize,
-    /// Maximum rounds over the full pass schedule; reduction normally
-    /// reaches a fixpoint in two or three.
-    pub max_rounds: usize,
 }
 
 impl Default for ReducerConfig {
     fn default() -> Self {
         ReducerConfig {
             max_oracle_calls: 512,
-            max_rounds: 4,
         }
     }
 }
@@ -98,32 +98,12 @@ pub struct Reduction {
 /// The delta-debugging driver.
 pub struct Reducer {
     config: ReducerConfig,
-    passes: Vec<Box<dyn ReductionPass>>,
 }
 
 impl Reducer {
-    /// A reducer with the default schedule: declaration ddmin, structural
-    /// pruning, statement ddmin, expression simplification — coarsest
-    /// first, so the expensive fine-grained passes see a small program.
+    /// A reducer running the fixed schedule within `config`'s budget.
     pub fn new(config: ReducerConfig) -> Reducer {
-        Reducer {
-            config,
-            passes: vec![
-                Box::new(DeclarationDdmin),
-                Box::new(StructurePrune),
-                Box::new(StatementDdmin),
-                Box::new(ExprSimplify),
-            ],
-        }
-    }
-
-    /// A reducer with a custom pass schedule.
-    pub fn with_passes(config: ReducerConfig, passes: Vec<Box<dyn ReductionPass>>) -> Reducer {
-        Reducer { config, passes }
-    }
-
-    pub fn config(&self) -> &ReducerConfig {
-        &self.config
+        Reducer { config }
     }
 
     /// Reduces `program` to a smaller program that still reproduces
@@ -152,13 +132,13 @@ impl Reducer {
         }
 
         let mut current = program.clone();
-        for _ in 0..self.config.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             if stats.oracle_calls >= self.config.max_oracle_calls {
                 break;
             }
             stats.rounds += 1;
             let mut round_progressed = false;
-            for pass in &self.passes {
+            for step in SCHEDULE {
                 let mut check = |candidate: &Program| -> bool {
                     if stats.oracle_calls >= self.config.max_oracle_calls {
                         return false;
@@ -174,10 +154,7 @@ impl Reducer {
                     }
                     reproduces
                 };
-                if let Some(reduced) = pass.reduce(&current, &mut check) {
-                    current = reduced;
-                    round_progressed = true;
-                }
+                round_progressed |= step(&mut current, &mut check);
                 if stats.oracle_calls >= self.config.max_oracle_calls {
                     break;
                 }
@@ -339,7 +316,6 @@ mod tests {
         };
         let reducer = Reducer::new(ReducerConfig {
             max_oracle_calls: 10,
-            max_rounds: 8,
         });
         let reduction = reducer
             .reduce(&mut oracle, &program, "always")

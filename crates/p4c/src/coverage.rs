@@ -4,10 +4,9 @@
 //! programs stay "small and targeted" (§4.1), but offers no feedback signal
 //! telling the campaign *which* compiler behaviour a batch of programs
 //! exercised.  This module provides that signal: every rewrite rule in the
-//! reference passes reports each firing through [`record`], and the compiler
-//! driver threads a lightweight sink through the pipeline so each compile
-//! yields a [`PassCoverage`] counter map (attached to
-//! [`crate::CompileResult::coverage`]).
+//! reference passes reports each firing through [`record`], and
+//! [`with_sink`] collects the firings of everything run inside it into a
+//! [`PassCoverage`] counter map.
 //!
 //! Beyond single rules, the sink tracks **pass interactions**: the driver
 //! calls [`pass_boundary`] after every pass run, and the sink records the
@@ -18,10 +17,11 @@
 //! once the single-rule frontier saturates.  The pair universe is every
 //! cross-pass ordered pair of registered rules, in registry order.
 //!
-//! The sink is a thread-local installed by [`Scope`] (the driver) or
-//! [`with_sink`] (campaign engines that also want coverage from *crashing*
-//! compiles — a pass fires rules before it panics, and those firings are
-//! already in the sink when `catch_unwind` returns).  Recording is a no-op
+//! The sink is a thread-local installed by [`with_sink`], which also sees
+//! coverage from *crashing* compiles — a pass fires rules before it panics,
+//! and those firings are already in the sink when `catch_unwind` returns.
+//! The compiler driver opens a nested per-compile scope of its own, so pair
+//! tracking never spans two compiles.  Recording is a no-op
 //! when no sink is installed, so the passes pay one thread-local read per
 //! fired rewrite and nothing else.  All sink state is keyed by interned
 //! [`Symbol`] pairs — no string is allocated on the hot path; the string
@@ -224,14 +224,6 @@ impl Registry {
             _ => false,
         }
     }
-}
-
-/// The process-wide interner behind the sink's `(pass, rule)` keys (the
-/// registry pre-interns every registered rule, so symbols are dense and
-/// deterministic across runs).
-#[allow(dead_code)]
-fn coverage_interner() -> &'static Interner {
-    &registry().interner
 }
 
 /// Fired-rewrite counters, keyed by interned `(pass, rule)` symbols: rule
@@ -499,31 +491,32 @@ pub fn pass_boundary() {
     });
 }
 
-/// A per-compile coverage scope, installed by the compiler driver around the
-/// pass pipeline.  Dropping the scope without [`Scope::finish`] (e.g. when a
-/// pass panic unwinds through the driver) still pops the sink and merges it
-/// outward, so enclosing [`with_sink`] callers observe the rules a crashing
-/// pass fired before dying.
+/// A coverage scope: a fresh sink on the stack until the scope ends.  The
+/// compiler driver opens one around each compile's pass pipeline and drops
+/// it; dropping the scope without [`Scope::finish`] (also when a pass panic
+/// unwinds through the driver) still pops the sink and merges it outward,
+/// so enclosing [`with_sink`] callers observe the rules a crashing pass
+/// fired before dying.
 #[derive(Debug)]
-pub struct Scope {
+pub(crate) struct Scope {
     finished: bool,
 }
 
 impl Scope {
     /// Pushes a fresh sink.
-    pub fn begin() -> Scope {
+    pub(crate) fn begin() -> Scope {
         SINKS.with(|sinks| sinks.borrow_mut().push(Sink::default()));
         Scope { finished: false }
     }
 
     /// Pops the sink, merging its counters into the enclosing sink (if any),
     /// and returns them.
-    pub fn finish(mut self) -> PassCoverage {
+    pub(crate) fn finish(mut self) -> PassCoverage {
         self.finished = true;
-        Scope::pop()
+        Scope::pop().into_coverage()
     }
 
-    fn pop() -> PassCoverage {
+    fn pop() -> Sink {
         SINKS.with(|sinks| {
             let mut sinks = sinks.borrow_mut();
             let mut sink = sinks.pop().expect("coverage scope underflow");
@@ -534,7 +527,7 @@ impl Scope {
             if let Some(parent) = sinks.last_mut() {
                 parent.merge_from(&sink);
             }
-            sink.into_coverage()
+            sink
         })
     }
 }
@@ -542,7 +535,7 @@ impl Scope {
 impl Drop for Scope {
     fn drop(&mut self) {
         if !self.finished {
-            let _ = Scope::pop();
+            Scope::pop();
         }
     }
 }

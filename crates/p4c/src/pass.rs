@@ -75,9 +75,6 @@ pub struct CompileResult {
     pub snapshots: Vec<PassSnapshot>,
     /// The fully transformed program.
     pub program: Program,
-    /// Which rewrite rules fired during this compile (see
-    /// [`crate::coverage`]).
-    pub coverage: crate::coverage::PassCoverage,
 }
 
 impl PassSnapshot {
@@ -228,23 +225,14 @@ impl Compiler {
 
     /// Runs the pipeline on `program`.
     ///
-    /// A fresh [`crate::coverage`] sink is threaded through the pass
-    /// pipeline: rules fired by the passes land in
-    /// [`CompileResult::coverage`], and — because the scope merges outward
-    /// on unwind — in any enclosing [`crate::coverage::with_sink`] even
-    /// when a pass crashes.
+    /// The compile runs in its own [`crate::coverage`] scope, so rule pairs
+    /// never span two compiles; rules fired by the passes land in any
+    /// enclosing [`crate::coverage::with_sink`], even when a pass crashes,
+    /// because the scope merges outward when it ends.
     pub fn compile(&self, program: &Program) -> Result<CompileResult, CompileError> {
-        // The span guard records through an unwinding pass crash, mirroring
-        // the coverage scope's drop behaviour.
+        // Both guards record through an unwinding pass crash.
         let _telemetry = gauntlet_telemetry::Span::begin(gauntlet_telemetry::Stage::Compile);
-        let scope = crate::coverage::Scope::begin();
-        self.compile_inner(program).map(|mut result| {
-            result.coverage = scope.finish();
-            result
-        })
-    }
-
-    fn compile_inner(&self, program: &Program) -> Result<CompileResult, CompileError> {
+        let _coverage = crate::coverage::Scope::begin();
         let errors = p4_check::check_program(program);
         if !errors.is_empty() {
             return Err(CompileError::Rejected {
@@ -322,7 +310,6 @@ impl Compiler {
         Ok(CompileResult {
             snapshots,
             program: current,
-            coverage: crate::coverage::PassCoverage::new(),
         })
     }
 }
@@ -583,9 +570,8 @@ mod tests {
         assert!(!compiler.replace_pass(Box::new(NopPass)));
     }
 
-    /// The driver threads a coverage sink through the pipeline: a compile
-    /// of a program with foldable constants reports the fired rule in
-    /// `CompileResult::coverage`.
+    /// A compile of a program with foldable constants reports the fired
+    /// rule to the enclosing sink.
     #[test]
     fn compile_attaches_pass_rule_coverage() {
         use p4_ir::{BinOp, Expr};
@@ -596,13 +582,15 @@ mod tests {
                 Expr::binary(BinOp::Add, Expr::uint(1, 8), Expr::uint(2, 8)),
             ));
         }
-        let result = Compiler::reference().compile(&program).unwrap();
-        assert!(result.coverage.count("ConstantFolding/fold_arith") >= 1);
+        let (result, coverage) =
+            crate::coverage::with_sink(|| Compiler::reference().compile(&program));
+        result.unwrap();
+        assert!(coverage.count("ConstantFolding/fold_arith") >= 1);
     }
 
     /// The driver marks a pass boundary after every pass run, so rules that
     /// fire in different passes of one compile surface as ordered
-    /// interaction pairs in `CompileResult::coverage`.
+    /// interaction pairs.
     #[test]
     fn compile_attaches_cross_pass_pair_coverage() {
         use p4_ir::{BinOp, Expr};
@@ -624,9 +612,10 @@ mod tests {
                 ),
             ));
         }
-        let result = Compiler::reference().compile(&program).unwrap();
-        let passes_hit: std::collections::BTreeSet<String> = result
-            .coverage
+        let (result, coverage) =
+            crate::coverage::with_sink(|| Compiler::reference().compile(&program));
+        result.unwrap();
+        let passes_hit: std::collections::BTreeSet<String> = coverage
             .fired_keys()
             .iter()
             .filter_map(|key| key.split_once('/').map(|(pass, _)| pass.to_string()))
@@ -636,18 +625,47 @@ mod tests {
             "fixture must exercise at least two passes, hit {passes_hit:?}"
         );
         assert!(
-            result.coverage.distinct_pairs() >= 1,
+            coverage.distinct_pairs() >= 1,
             "rules firing in distinct passes must produce interaction pairs"
         );
         // Every recorded pair is between two individually fired rules.
-        for pair in result.coverage.fired_pair_keys() {
+        for pair in coverage.fired_pair_keys() {
             let (first, second) = pair.split_once("->").unwrap();
-            assert!(result.coverage.fired(first), "{pair} first member unfired");
-            assert!(
-                result.coverage.fired(second),
-                "{pair} second member unfired"
-            );
+            assert!(coverage.fired(first), "{pair} first member unfired");
+            assert!(coverage.fired(second), "{pair} second member unfired");
         }
+    }
+
+    /// Each compile tracks pairs in its own scope: a rule one compile fired
+    /// never pairs with a rule the next compile in the same sink fires.
+    #[test]
+    fn pairs_never_span_two_compiles() {
+        use p4_ir::{BinOp, Expr};
+        let with_assignment = |rhs: Expr| {
+            let mut program = builder::trivial_program();
+            let control = program.control_mut("ingress_impl").unwrap();
+            control.apply.statements.push(p4_ir::Statement::assign(
+                Expr::dotted(&["hdr", "h", "a"]),
+                rhs,
+            ));
+            program
+        };
+        let folded = with_assignment(Expr::binary(BinOp::Add, Expr::uint(1, 8), Expr::uint(2, 8)));
+        let reduced = with_assignment(Expr::binary(
+            BinOp::Add,
+            Expr::dotted(&["hdr", "h", "a"]),
+            Expr::uint(0, 8),
+        ));
+        let compiler = Compiler::reference();
+        let ((), coverage) = crate::coverage::with_sink(|| {
+            compiler.compile(&folded).unwrap();
+            compiler.compile(&reduced).unwrap();
+        });
+        assert!(coverage.fired("ConstantFolding/fold_arith"));
+        assert!(coverage.fired("StrengthReduction/add_zero_identity"));
+        assert!(
+            !coverage.pair_fired("ConstantFolding/fold_arith->StrengthReduction/add_zero_identity")
+        );
     }
 
     /// Rules fired before a pass crashes are still observable through an

@@ -144,7 +144,7 @@ impl p4c::Pass for OpaquePanic {
 
     fn run(&self, program: &mut p4_ir::Program) -> Result<(), p4c::Diagnostic> {
         for control in program.controls() {
-            p4_ir::for_each_statement_list(&control.apply, &mut |list| {
+            p4_ir::for_each_statement_list(&control.apply.statements, &mut |list| {
                 for stmt in list {
                     if let p4_ir::Statement::Declare { name, .. } = stmt {
                         assert!(
@@ -401,16 +401,18 @@ fn trigger_program_walkthrough() {
         .split('`')
         .nth(1)
         .expect("chain between backticks");
-    let options = MetamorphicOptions::default();
     assert!(
-        chain.split('>').count() <= options.max_chain,
+        chain.split('>').count() <= p4_mutate::MAX_CHAIN,
         "chain exceeds the budget: {first_line}"
     );
 
     // And the minimised key reproduces through the reduction oracle, which
     // program reduction relies on.
-    let mut oracle =
-        Gauntlet::metamorphic_oracle(corrupted_compiler(), options, CAMPAIGN_MUTATION_SEED);
+    let mut oracle = Gauntlet::metamorphic_oracle(
+        corrupted_compiler(),
+        MetamorphicOptions::default(),
+        CAMPAIGN_MUTATION_SEED,
+    );
     assert!(
         oracle.reproduces(&trigger, &report.dedup_key()),
         "oracle lost the dedup key `{}`",

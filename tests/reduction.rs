@@ -277,7 +277,6 @@ fn reducing_mutation_hunt_bytes_are_pinned() {
     let bug = SeededBug::Driver(p4c::DriverBugClass::SnapshotDropsFinalWrite);
     let mutation = MetamorphicOptions {
         mutants_per_seed: 3,
-        ..MetamorphicOptions::default()
     };
     let hunt = reducing_hunt(bug, 40, Some(mutation));
     assert_pinned(&reduction_bytes(&hunt), "f062426408836122");
