@@ -655,6 +655,80 @@ mod tests {
         )
     }
 
+    /// `at_stmt_list` addresses, site by site, the lists that p4-ir's
+    /// read-only `for_each_statement_list` walks from the reducer's bodies,
+    /// and a write through a site lands on that list.
+    #[test]
+    fn stmt_list_traversals_agree() {
+        let walk = |mut program: Program| {
+            let mut lists: Vec<Vec<Statement>> = Vec::new();
+            for body in bodies(&mut program) {
+                p4_ir::for_each_statement_list(body, &mut |list| lists.push(list.to_vec()));
+            }
+            lists
+        };
+        let program = traversal_fixture();
+        let walked = walk(program.clone());
+        let mut scratch = program.clone();
+        let mut addressed = Vec::new();
+        while let Some(list) = at_stmt_list(&mut scratch, addressed.len(), |list| list.clone()) {
+            addressed.push(list);
+        }
+        assert_eq!(addressed, walked);
+        for site in 0..walked.len() {
+            let mut edited = program.clone();
+            at_stmt_list(&mut edited, site, |list| list.push(Statement::Exit));
+            let mut expected = walked[site].clone();
+            expected.push(Statement::Exit);
+            let lists = walk(edited);
+            assert_eq!(lists.len(), walked.len(), "site {site}");
+            assert_eq!(lists[site], expected, "site {site}");
+        }
+    }
+
+    /// `find_expr` addresses, node by node, the expressions that p4-ir's
+    /// read-only `Visitor` reaches in pre-order from the reducer's bodies
+    /// when it skips assignment targets, and a write through a site lands
+    /// on that node.
+    #[test]
+    fn expr_traversals_agree() {
+        use p4_ir::visit::walk_expr;
+        struct Sites(Vec<Expr>);
+        impl Visitor for Sites {
+            fn visit_statement(&mut self, stmt: &Statement) {
+                match stmt {
+                    Statement::Assign { rhs, .. } => self.visit_expr(rhs),
+                    _ => walk_statement(self, stmt),
+                }
+            }
+            fn visit_expr(&mut self, expr: &Expr) {
+                self.0.push(expr.clone());
+                walk_expr(self, expr);
+            }
+        }
+        let walk = |mut program: Program| {
+            let mut sites = Sites(Vec::new());
+            for body in bodies(&mut program) {
+                body.iter().for_each(|stmt| sites.visit_statement(stmt));
+            }
+            sites.0
+        };
+        let program = traversal_fixture();
+        let walked = walk(program.clone());
+        let mut scratch = program.clone();
+        let mut found = Vec::new();
+        while let Some(node) = find_expr(&mut scratch, found.len()) {
+            found.push(node.clone());
+        }
+        assert_eq!(found, walked);
+        let marker = Expr::path("marker");
+        for site in 0..walked.len() {
+            let mut edited = program.clone();
+            *find_expr(&mut edited, site).unwrap() = marker.clone();
+            assert_eq!(walk(edited).get(site), Some(&marker), "site {site}");
+        }
+    }
+
     /// The statement-list and expression sites of the fixture, in the
     /// order the reducer addresses them.
     #[test]
