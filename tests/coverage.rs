@@ -3,7 +3,10 @@
 //! stay byte-identical across `--jobs`, and corpus replay alone must
 //! reproduce the saved coverage fingerprint (serialization round-trip).
 
-use gauntlet_core::{Corpus, CoverageOptions, HuntConfig, HuntReport, ParallelCampaign};
+use gauntlet_core::{
+    Corpus, CoverageOptions, HuntConfig, HuntReport, MetamorphicOptions, ParallelCampaign,
+    SeededBug,
+};
 use p4_gen::GeneratorConfig;
 use std::path::PathBuf;
 
@@ -215,4 +218,68 @@ fn coverage_block_renders_in_reports() {
     assert!(rendered.contains("corpus:"), "{rendered}");
     let table2 = gauntlet_core::render_table2(&report.campaign_summary());
     assert!(table2.contains("pass-rewrite rules fired"), "{table2}");
+}
+
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The FNV-1a fingerprint of an adaptive coverage hunt's rendered report
+/// followed by the corpus file it saved, asserting that the hunt admitted
+/// corpus entries.
+fn coverage_hunt_fingerprint(
+    name: &str,
+    seed_count: usize,
+    mutation: Option<MetamorphicOptions>,
+    factory: impl Fn() -> p4c::Compiler + Send + Sync,
+) -> String {
+    let corpus = scratch(name);
+    let _ = std::fs::remove_file(&corpus);
+    let report = ParallelCampaign::new(HuntConfig {
+        jobs: 2,
+        seed_count,
+        coverage: Some(CoverageOptions {
+            corpus: Some(corpus.display().to_string()),
+            ..CoverageOptions::default()
+        }),
+        mutation,
+        ..HuntConfig::default()
+    })
+    .run(factory);
+    let coverage = report.coverage.as_ref().expect("coverage accounting on");
+    assert!(
+        coverage.corpus_added > 0,
+        "{name}: the hunt must admit entries"
+    );
+    let mut bytes = report.render().into_bytes();
+    bytes.extend(std::fs::read(&corpus).expect("corpus saved"));
+    let _ = std::fs::remove_file(&corpus);
+    format!("{:016x}", fnv1a(&bytes))
+}
+
+/// Golden coverage bytes: the report and saved corpus of two adaptive
+/// coverage hunts, pinned as FNV-1a fingerprints.  One mutates every seed
+/// against the reference compiler; the other hunts a crash bug, so crashing
+/// compiles feed their rules and pairs into corpus admission.  Any change
+/// to which rules or pairs a compile records, to corpus admission or to
+/// weight adaptation moves a fingerprint.
+#[test]
+fn coverage_hunt_bytes_are_pinned() {
+    let mutating = coverage_hunt_fingerprint(
+        "pinned-mutants.txt",
+        40,
+        Some(MetamorphicOptions {
+            mutants_per_seed: 2,
+        }),
+        p4c::Compiler::reference,
+    );
+    let bug = SeededBug::FrontEnd(p4c::FrontEndBugClass::InlineCrashOnConditional);
+    let crashing = coverage_hunt_fingerprint("pinned-crash.txt", 60, None, || bug.build_compiler());
+    assert_eq!(
+        (mutating.as_str(), crashing.as_str()),
+        ("03904b663794e146", "60acdb3189a242c6")
+    );
 }
