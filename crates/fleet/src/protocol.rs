@@ -19,7 +19,7 @@
 //! frames rather than straight to a file.
 
 use gauntlet_telemetry::json::{self, Json};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Coordinator → worker messages.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,25 +68,37 @@ pub fn write_frame(out: &mut impl Write, body: &str) -> std::io::Result<()> {
 
 /// Read one frame.  `Ok(None)` is clean EOF (stream closed between frames);
 /// a truncated frame — EOF inside the length line or the body — is an
-/// `UnexpectedEof` error, which callers fold into the same death path.
+/// `UnexpectedEof` error, and a length that overflows or a body not
+/// followed by `\n` is `InvalidData`; callers fold every error into the
+/// same death path.
 pub fn read_frame(input: &mut impl BufRead) -> std::io::Result<Option<String>> {
+    let invalid = |message: String| std::io::Error::new(std::io::ErrorKind::InvalidData, message);
     let mut header = String::new();
     if input.read_line(&mut header)? == 0 {
         return Ok(None);
     }
-    let len: usize = header.trim().parse().map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad frame length `{}`", header.trim()),
-        )
-    })?;
-    // Body plus its trailing newline.
-    let mut body = vec![0u8; len + 1];
-    input.read_exact(&mut body)?;
-    body.pop();
+    let len: usize = header
+        .trim()
+        .parse()
+        .map_err(|_| invalid(format!("bad frame length `{}`", header.trim())))?;
+    // Body plus its trailing newline.  The length is untrusted until the
+    // bytes arrive, so the buffer grows with what is read, not with `len`.
+    let framed = len
+        .checked_add(1)
+        .ok_or_else(|| invalid(format!("frame length {len} overflows")))?;
+    let mut body = Vec::new();
+    (&mut *input).take(framed as u64).read_to_end(&mut body)?;
+    if body.len() < framed {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    if body.pop() != Some(b'\n') {
+        return Err(invalid(format!(
+            "frame body of {len} bytes not followed by a newline"
+        )));
+    }
     String::from_utf8(body)
         .map(Some)
-        .map_err(|error| std::io::Error::new(std::io::ErrorKind::InvalidData, error.to_string()))
+        .map_err(|error| invalid(error.to_string()))
 }
 
 impl ToWorker {
@@ -231,6 +243,26 @@ mod tests {
         let mut reader = Cursor::new(pipe);
         assert!(read_frame(&mut reader).is_err());
         assert!(read_frame(&mut Cursor::new(b"notalen\n".to_vec())).is_err());
+    }
+
+    /// A header's length sizes nothing before the body arrives: a length
+    /// that overflows, or one far beyond the bytes on the pipe, is an error
+    /// rather than an overflow or an allocation abort.
+    #[test]
+    fn oversized_frame_lengths_read_as_errors() {
+        for header in ["18446744073709551615", "1000000000000"] {
+            let pipe = format!("{header}\n{{}}\n");
+            assert!(read_frame(&mut Cursor::new(pipe.into_bytes())).is_err());
+        }
+    }
+
+    #[test]
+    fn a_body_must_end_with_a_newline() {
+        assert!(read_frame(&mut Cursor::new(b"2\n{}X".to_vec())).is_err());
+        assert_eq!(
+            read_frame(&mut Cursor::new(b"2\n{}\n".to_vec())).unwrap(),
+            Some("{}".to_string())
+        );
     }
 
     #[test]
