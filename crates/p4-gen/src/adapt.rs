@@ -123,12 +123,20 @@ impl Default for WeightAdapter {
 
 impl WeightAdapter {
     /// Re-normalises `base`'s weights toward the knobs mapped from
-    /// `unfired_rules` (rule keys in `"pass/rule"` form) and from census
-    /// construct pairs that have count zero.  `round` rotates the focus: a
-    /// campaign passes its epoch index, and each epoch concentrates its
-    /// boost on a different slice of the unfired rules — chasing a handful
-    /// of rules hard beats diluting the pull across all of them, and the
-    /// rotation is a pure function of `round`, preserving determinism.
+    /// `unfired_rules` (rule keys in `"pass/rule"` form), from
+    /// `unfired_pairs` (cross-pass interaction pairs, in the
+    /// `"passA/ruleA->passB/ruleB"` keys of `p4c::coverage`, that have never
+    /// been observed) and from census construct pairs that have count zero.
+    /// `round` rotates the focus: a campaign passes its epoch index, and
+    /// each epoch concentrates its boost on a different slice of the
+    /// unfired lists — chasing a handful of targets hard beats diluting the
+    /// pull across all of them, and the rotation is a pure function of
+    /// `round`, preserving determinism.
+    ///
+    /// Each round's focus budget is split between the two lists: half
+    /// chases unfired rules, half chases unfired pairs (a pair pulls the
+    /// knobs of *both* member rules, since the two rewrites must meet in one
+    /// program).  Either list being exhausted hands its share to the other.
     ///
     /// Guarantees, checked by the property tests in this crate:
     ///
@@ -136,26 +144,8 @@ impl WeightAdapter {
     ///   row);
     /// * each weight group's total equals `max(base total, field count)` —
     ///   adaptation redistributes probability mass, it never inflates it;
-    /// * with `unfired_rules` empty the output is byte-identical to `base`
-    ///   (full coverage is a fixpoint, for every `round`).
-    pub fn adapt(
-        &self,
-        base: &GeneratorConfig,
-        unfired_rules: &[String],
-        census: &ConstructCensus,
-        round: usize,
-    ) -> GeneratorConfig {
-        self.adapt_with_pairs(base, unfired_rules, &[], census, round)
-    }
-
-    /// [`WeightAdapter::adapt`] with a second steering signal: cross-pass
-    /// interaction pairs (`"passA/ruleA->passB/ruleB"` keys from
-    /// `p4c::coverage`) that have never been observed.  Each round's focus
-    /// budget is split between the two lists — half chases unfired rules,
-    /// half chases unfired pairs (a pair pulls the knobs of *both* member
-    /// rules, since the two rewrites must meet in one program).  Either
-    /// list being exhausted hands its share to the other; both empty is the
-    /// same fixpoint as full rule coverage.
+    /// * with both unfired lists empty the output is byte-identical to
+    ///   `base` (full coverage is a fixpoint, for every `round`).
     pub fn adapt_with_pairs(
         &self,
         base: &GeneratorConfig,
@@ -422,7 +412,7 @@ mod tests {
     #[test]
     fn full_coverage_is_a_fixpoint() {
         let base = GeneratorConfig::default();
-        let adapted = WeightAdapter::default().adapt(&base, &[], &no_census(), 0);
+        let adapted = WeightAdapter::default().adapt_with_pairs(&base, &[], &[], &no_census(), 0);
         assert_eq!(adapted.statements.as_array(), base.statements.as_array());
         assert_eq!(adapted.expressions.as_array(), base.expressions.as_array());
     }
@@ -434,7 +424,8 @@ mod tests {
             "ConstantFolding/fold_shift".to_string(),
             "StrengthReduction/shift_by_zero".to_string(),
         ];
-        let adapted = WeightAdapter::default().adapt(&base, &unfired, &no_census(), 0);
+        let adapted =
+            WeightAdapter::default().adapt_with_pairs(&base, &unfired, &[], &no_census(), 0);
         assert!(
             adapted.expressions.shift > base.expressions.shift,
             "shift weight should rise: {} vs {}",
@@ -447,7 +438,8 @@ mod tests {
     fn adaptation_preserves_the_total_and_the_floor() {
         let base = GeneratorConfig::default();
         let unfired: Vec<String> = p4c_rule_universe();
-        let adapted = WeightAdapter::default().adapt(&base, &unfired, &no_census(), 0);
+        let adapted =
+            WeightAdapter::default().adapt_with_pairs(&base, &unfired, &[], &no_census(), 0);
         let base_stmt: u32 = base.statements.total();
         let new_stmt: u32 = adapted.statements.total();
         assert_eq!(base_stmt, new_stmt);
@@ -536,19 +528,6 @@ mod tests {
         let adapted = WeightAdapter::default().adapt_with_pairs(&base, &[], &[], &no_census(), 7);
         assert_eq!(adapted.statements.as_array(), base.statements.as_array());
         assert_eq!(adapted.expressions.as_array(), base.expressions.as_array());
-    }
-
-    #[test]
-    fn adapt_is_adapt_with_pairs_without_pairs() {
-        let base = GeneratorConfig::default();
-        let unfired = p4c_rule_universe();
-        let adapter = WeightAdapter::default();
-        for round in 0..4 {
-            let plain = adapter.adapt(&base, &unfired, &no_census(), round);
-            let with = adapter.adapt_with_pairs(&base, &unfired, &[], &no_census(), round);
-            assert_eq!(plain.statements.as_array(), with.statements.as_array());
-            assert_eq!(plain.expressions.as_array(), with.expressions.as_array());
-        }
     }
 
     #[test]

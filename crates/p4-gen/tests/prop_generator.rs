@@ -130,7 +130,7 @@ proptest! {
         let base = arbitrary_config(seed);
         let unfired = arbitrary_unfired(seed);
         let census = p4_ir::ConstructCensus::default();
-        let adapted = WeightAdapter::default().adapt(&base, &unfired, &census, seed as usize % 5);
+        let adapted = WeightAdapter::default().adapt_with_pairs(&base, &unfired, &[], &census, seed as usize % 5);
         if unfired.is_empty() {
             return; // fixpoint case, covered by the property below
         }
@@ -176,7 +176,7 @@ proptest! {
         let base = arbitrary_config(seed);
         let mut program_gen = RandomProgramGenerator::new(base.clone(), seed);
         let census = p4_ir::ConstructCensus::of(&program_gen.generate());
-        let adapted = WeightAdapter::default().adapt(&base, &[], &census, seed as usize % 5);
+        let adapted = WeightAdapter::default().adapt_with_pairs(&base, &[], &[], &census, seed as usize % 5);
         prop_assert_eq!(
             format!("{:?}", adapted.statements),
             format!("{:?}", base.statements)
@@ -195,8 +195,8 @@ proptest! {
         let unfired = arbitrary_unfired(seed);
         let census = p4_ir::ConstructCensus::default();
         let adapter = WeightAdapter::default();
-        let a = adapter.adapt(&base, &unfired, &census, seed as usize % 7);
-        let b = adapter.adapt(&base, &unfired, &census, seed as usize % 7);
+        let a = adapter.adapt_with_pairs(&base, &unfired, &[], &census, seed as usize % 7);
+        let b = adapter.adapt_with_pairs(&base, &unfired, &[], &census, seed as usize % 7);
         prop_assert_eq!(format!("{:?}", a.statements), format!("{:?}", b.statements));
         prop_assert_eq!(format!("{:?}", a.expressions), format!("{:?}", b.expressions));
     }
