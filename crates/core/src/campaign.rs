@@ -867,17 +867,7 @@ impl GuidedCommit {
     /// their *full* fired-rule and fired-pair sets, so the corpus
     /// fingerprints equal the unions over its entries).
     fn commit(&mut self, seed: u64, observation: SeedObservation) {
-        let newly_covers = observation
-            .coverage
-            .fired_keys()
-            .iter()
-            .any(|key| !self.accum.fired(key))
-            || observation
-                .coverage
-                .fired_pair_keys()
-                .iter()
-                .any(|key| !self.accum.pair_fired(key));
-        if newly_covers {
+        if observation.coverage.covers_beyond(&self.accum) {
             self.corpus.entries.push(CorpusEntry {
                 seed,
                 rules: observation.coverage.fired_keys(),

@@ -47,8 +47,8 @@ impl OpenCompilerOracle {
 impl Oracle for OpenCompilerOracle {
     fn reproduces(&mut self, program: &Program, target: &str) -> bool {
         let pass = BugReport::validated_pass(target);
-        self.compiler.options_mut().snapshots =
-            pass.map_or(Snapshots::None, |pass| Snapshots::Pass(pass.into()));
+        self.compiler
+            .set_snapshots(pass.map_or(Snapshots::None, |pass| Snapshots::Pass(pass.into())));
         match self.compiler.compile(program) {
             Err(error) => compile_error_report(error).dedup_key() == target,
             Ok(result) => result

@@ -159,7 +159,7 @@ impl MetamorphicChecker {
     }
 
     fn with_session(mut compiler: Compiler, session: ValidationSession) -> MetamorphicChecker {
-        compiler.options_mut().snapshots = p4c::Snapshots::None;
+        compiler.set_snapshots(p4c::Snapshots::None);
         MetamorphicChecker {
             compiler,
             session,

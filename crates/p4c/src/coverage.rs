@@ -9,31 +9,33 @@
 //! [`PassCoverage`] counter map.
 //!
 //! Beyond single rules, the sink tracks **pass interactions**: the driver
-//! calls [`pass_boundary`] after every pass run, and the sink records the
-//! ordered pair "rule A fired in an earlier pass, rule B fired in a later
-//! pass" for the same compile.  Most real miscompiles live in exactly these
-//! interactions (one rewrite manufacturing the shape a later rewrite
+//! calls [`pass_boundary`] after every pass outcome, and the sink records
+//! the ordered pair "rule A fired in an earlier pass, rule B fired in a
+//! later pass" for the same compile.  Most real miscompiles live in exactly
+//! these interactions (one rewrite manufacturing the shape a later rewrite
 //! mis-handles), so the campaign steers generation toward *uncovered pairs*
 //! once the single-rule frontier saturates.  The pair universe is every
 //! cross-pass ordered pair of registered rules, in registry order.
 //!
-//! The sink is a thread-local installed by [`with_sink`], which also sees
-//! coverage from *crashing* compiles — a pass fires rules before it panics,
-//! and those firings are already in the sink when `catch_unwind` returns.
-//! The compiler driver opens a nested per-compile scope of its own, so pair
-//! tracking never spans two compiles.  Recording is a no-op
-//! when no sink is installed, so the passes pay one thread-local read per
-//! fired rewrite and nothing else.  All sink state is keyed by interned
-//! [`Symbol`] pairs — no string is allocated on the hot path; the string
-//! form is materialised once, at report-render time.
+//! A rule is its index in the flat, static [`ALL_RULES`] table, and every
+//! counter is keyed by that index; the `"pass/rule"` strings are formatted
+//! once per process and read only when a caller asks for keys.  Each thread
+//! has one sink slot, which [`with_sink`] fills for the duration of its
+//! closure and which does not nest.  The compiler driver clears the pair
+//! state at the start of every compile, so pairs never span two compiles,
+//! and closes the pass segment after every pass outcome, crash and
+//! rejection included, so a crashing pass's rules still pair with the
+//! rules of the passes before it.  With no sink installed (and telemetry
+//! off), recording is one thread-local read per fired rewrite and nothing
+//! else.
 //!
-//! The full rule universe is enumerated statically in [`ALL_RULES`]; the
-//! campaign layer uses it to report "rules fired / total" and to steer
-//! generator weights toward rules (and pairs) that have never fired.
+//! The campaign layer uses [`ALL_RULES`] to report "rules fired / total"
+//! and to steer generator weights toward rules (and pairs) that have never
+//! fired.
 
-use p4_ir::{Interner, Symbol};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
 /// Every instrumented rewrite rule, grouped by pass.  The campaign layer
@@ -97,10 +99,75 @@ pub const ALL_RULES: &[(&str, &[&str])] = &[
     ),
 ];
 
+/// One registered rule: its pass and name, the rank of its pass in
+/// [`ALL_RULES`] (which orients pairs), and its `"pass/rule"` key.
+struct Rule {
+    pass: &'static str,
+    name: &'static str,
+    rank: usize,
+    key: String,
+}
+
+/// The flat rule table: [`ALL_RULES`] in order, so a rule's index is its
+/// position here.  Built once per process.
+fn rules() -> &'static [Rule] {
+    static RULES: OnceLock<Vec<Rule>> = OnceLock::new();
+    RULES.get_or_init(|| {
+        let mut table = Vec::new();
+        for (rank, (pass, names)) in ALL_RULES.iter().enumerate() {
+            for name in names.iter() {
+                table.push(Rule {
+                    pass,
+                    name,
+                    rank,
+                    key: rule_key(pass, name),
+                });
+            }
+        }
+        assert!(table.len() <= 64, "a sink segment is a u64 rule mask");
+        table
+    })
+}
+
+/// The index of a registered rule, by scanning the table.
+fn rule_index(pass: &str, rule: &str) -> Option<usize> {
+    rules()
+        .iter()
+        .position(|entry| entry.pass == pass && entry.name == rule)
+}
+
+/// The index of a registered rule key (`"pass/rule"`).
+fn key_index(key: &str) -> Option<usize> {
+    let (pass, rule) = key.split_once('/')?;
+    rule_index(pass, rule)
+}
+
+/// The indices of a registered pair key (`"passA/ruleA->passB/ruleB"`).
+fn pair_index(key: &str) -> Option<(usize, usize)> {
+    let (first, second) = key.split_once("->")?;
+    Some((key_index(first)?, key_index(second)?))
+}
+
+/// Every cross-pass pair of rule indices: the first rule's pass precedes
+/// the second's in [`ALL_RULES`] order.
+fn cross_pairs() -> impl Iterator<Item = (usize, usize)> {
+    let table = rules();
+    (0..table.len()).flat_map(move |first| {
+        (0..table.len())
+            .filter(move |&second| table[first].rank < table[second].rank)
+            .map(move |second| (first, second))
+    })
+}
+
+/// The pair key of two rule indices.
+fn pair_string((first, second): (usize, usize)) -> String {
+    pair_key(&rules()[first].key, &rules()[second].key)
+}
+
 /// Number of rules in the static registry (the denominator of
 /// "rules fired / total").
 pub fn total_rules() -> usize {
-    ALL_RULES.iter().map(|(_, rules)| rules.len()).sum()
+    rules().len()
 }
 
 /// Number of ordered cross-pass rule pairs in the registry (the denominator
@@ -108,14 +175,7 @@ pub fn total_rules() -> usize {
 /// `i < j` in [`ALL_RULES`] order.  Same-pass pairs are excluded — two rules
 /// of one pass firing in one run is not an interaction between passes.
 pub fn total_pairs() -> usize {
-    let sizes: Vec<usize> = ALL_RULES.iter().map(|(_, rules)| rules.len()).collect();
-    let mut pairs = 0;
-    for i in 0..sizes.len() {
-        for j in i + 1..sizes.len() {
-            pairs += sizes[i] * sizes[j];
-        }
-    }
-    pairs
+    cross_pairs().count()
 }
 
 /// The canonical flat key of a rule: `"pass/rule"`.
@@ -129,111 +189,28 @@ pub fn pair_key(first: &str, second: &str) -> String {
     format!("{first}->{second}")
 }
 
-/// All registered rule keys, sorted (BTreeMap order of [`ALL_RULES`] is
-/// already deterministic, but callers get a plain sorted list).
+/// All registered rule keys, sorted.
 pub fn all_rule_keys() -> Vec<String> {
-    let mut keys: Vec<String> = ALL_RULES
-        .iter()
-        .flat_map(|(pass, rules)| rules.iter().map(|rule| rule_key(pass, rule)))
-        .collect();
+    let mut keys: Vec<String> = rules().iter().map(|rule| rule.key.clone()).collect();
     keys.sort();
     keys
 }
 
 /// All registered cross-pass pair keys, sorted.
 pub fn all_pair_keys() -> Vec<String> {
-    let mut keys = Vec::with_capacity(total_pairs());
-    for (i, (pass_a, rules_a)) in ALL_RULES.iter().enumerate() {
-        for (pass_b, rules_b) in ALL_RULES.iter().skip(i + 1) {
-            for rule_a in rules_a.iter() {
-                for rule_b in rules_b.iter() {
-                    keys.push(pair_key(
-                        &rule_key(pass_a, rule_a),
-                        &rule_key(pass_b, rule_b),
-                    ));
-                }
-            }
-        }
-    }
+    let mut keys: Vec<String> = cross_pairs().map(pair_string).collect();
     keys.sort();
     keys
 }
 
-/// An interned `(pass, rule)` identity.
-type RuleId = (Symbol, Symbol);
-
-/// The pre-interned rule registry behind every sink and coverage map.  The
-/// rule universe is tiny and static, so the whole table is built once; every
-/// later firing is two read-mostly interner lookups plus hash-map
-/// increments on plain integers — no per-firing allocation.
-struct Registry {
-    interner: Interner,
-    /// Registered `(pass, rule)` → its pre-formatted `"pass/rule"` key.
-    key_strings: HashMap<RuleId, String>,
-    /// Pass symbol → rank in [`ALL_RULES`] order, used to orient pairs.
-    pass_rank: HashMap<Symbol, usize>,
-}
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let interner = Interner::new();
-        let mut key_strings = HashMap::new();
-        let mut pass_rank = HashMap::new();
-        for (rank, (pass, rules)) in ALL_RULES.iter().enumerate() {
-            let (pass_sym, _) = interner.intern(pass);
-            pass_rank.insert(pass_sym, rank);
-            for rule in rules.iter() {
-                let (rule_sym, _) = interner.intern(rule);
-                key_strings.insert((pass_sym, rule_sym), rule_key(pass, rule));
-            }
-        }
-        Registry {
-            interner,
-            key_strings,
-            pass_rank,
-        }
-    })
-}
-
-impl Registry {
-    fn intern(&self, pass: &str, rule: &str) -> RuleId {
-        let (pass_sym, _) = self.interner.intern(pass);
-        let (rule_sym, _) = self.interner.intern(rule);
-        (pass_sym, rule_sym)
-    }
-
-    /// The `"pass/rule"` string of an id.  Registered rules hit the
-    /// pre-formatted table; unregistered ones (tests) format on demand.
-    fn key_string(&self, id: RuleId) -> String {
-        match self.key_strings.get(&id) {
-            Some(key) => key.clone(),
-            None => rule_key(&self.interner.resolve(id.0), &self.interner.resolve(id.1)),
-        }
-    }
-
-    /// Whether `(first, second)` is a registered cross-pass pair: both rules
-    /// registered and `first`'s pass strictly precedes `second`'s in
-    /// [`ALL_RULES`] order.
-    fn is_cross_pair(&self, first: RuleId, second: RuleId) -> bool {
-        if !self.key_strings.contains_key(&first) || !self.key_strings.contains_key(&second) {
-            return false;
-        }
-        match (self.pass_rank.get(&first.0), self.pass_rank.get(&second.0)) {
-            (Some(a), Some(b)) => a < b,
-            _ => false,
-        }
-    }
-}
-
-/// Fired-rewrite counters, keyed by interned `(pass, rule)` symbols: rule
-/// firings plus cross-pass interaction pairs.  The public API speaks
-/// `"pass/rule"` (and `"a->b"` pair) strings; resolution happens here, at
-/// the map boundary, never per firing.
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// Fired-rewrite counters, keyed by rule index: rule firings plus
+/// cross-pass interaction pairs.  The public API speaks `"pass/rule"` (and
+/// `"a->b"` pair) strings; they are resolved to indices at the map
+/// boundary, and unregistered keys never fire.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PassCoverage {
-    counts: BTreeMap<RuleId, u64>,
-    pairs: BTreeMap<(RuleId, RuleId), u64>,
+    counts: BTreeMap<usize, u64>,
+    pairs: BTreeMap<(usize, usize), u64>,
 }
 
 impl PassCoverage {
@@ -241,10 +218,12 @@ impl PassCoverage {
         PassCoverage::default()
     }
 
-    /// Increments the counter for one rule firing.
+    /// Increments the counter for one firing of a registered rule
+    /// (unregistered rules are ignored).
     pub fn record(&mut self, pass: &str, rule: &str) {
-        let id = registry().intern(pass, rule);
-        *self.counts.entry(id).or_insert(0) += 1;
+        if let Some(index) = rule_index(pass, rule) {
+            *self.counts.entry(index).or_insert(0) += 1;
+        }
     }
 
     /// Adds every counter of `other` into `self` (commutative, so the
@@ -259,6 +238,14 @@ impl PassCoverage {
         }
     }
 
+    /// Whether `self` fired a rule or observed a pair that `seen` has not.
+    pub fn covers_beyond(&self, seen: &PassCoverage) -> bool {
+        self.counts
+            .keys()
+            .any(|rule| !seen.counts.contains_key(rule))
+            || self.pairs.keys().any(|pair| !seen.pairs.contains_key(pair))
+    }
+
     /// Number of distinct rules that fired at least once.
     pub fn distinct_rules(&self) -> usize {
         self.counts.len()
@@ -269,52 +256,40 @@ impl PassCoverage {
         self.pairs.len()
     }
 
-    fn lookup(&self, key: &str) -> Option<&u64> {
-        let (pass, rule) = key.split_once('/')?;
-        self.counts.get(&registry().intern(pass, rule))
-    }
-
     /// Firing count of one rule key (`"pass/rule"`).
     pub fn count(&self, key: &str) -> u64 {
-        self.lookup(key).copied().unwrap_or(0)
+        key_index(key)
+            .and_then(|index| self.counts.get(&index).copied())
+            .unwrap_or(0)
     }
 
     /// Whether the given rule key has fired.
     pub fn fired(&self, key: &str) -> bool {
-        self.lookup(key).is_some()
-    }
-
-    fn lookup_pair(&self, key: &str) -> Option<&u64> {
-        let (first, second) = key.split_once("->")?;
-        let (pass_a, rule_a) = first.split_once('/')?;
-        let (pass_b, rule_b) = second.split_once('/')?;
-        let reg = registry();
-        self.pairs
-            .get(&(reg.intern(pass_a, rule_a), reg.intern(pass_b, rule_b)))
+        self.count(key) > 0
     }
 
     /// Observation count of one pair key (`"passA/ruleA->passB/ruleB"`).
     pub fn pair_count(&self, key: &str) -> u64 {
-        self.lookup_pair(key).copied().unwrap_or(0)
+        pair_index(key)
+            .and_then(|pair| self.pairs.get(&pair).copied())
+            .unwrap_or(0)
     }
 
     /// Whether the given pair key has been observed.
     pub fn pair_fired(&self, key: &str) -> bool {
-        self.lookup_pair(key).is_some()
+        self.pair_count(key) > 0
     }
 
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty() && self.pairs.is_empty()
     }
 
-    /// Iterates `(rule key, firings)` in sorted key order.  Strings are
-    /// resolved here, once per call — never on the recording path.
+    /// Iterates `(rule key, firings)` in sorted key order.
     pub fn iter(&self) -> impl Iterator<Item = (String, u64)> {
-        let reg = registry();
         let mut entries: Vec<(String, u64)> = self
             .counts
             .iter()
-            .map(|(id, count)| (reg.key_string(*id), *count))
+            .map(|(&index, &count)| (rules()[index].key.clone(), count))
             .collect();
         entries.sort();
         entries.into_iter()
@@ -322,28 +297,24 @@ impl PassCoverage {
 
     /// The sorted fired-rule keys.
     pub fn fired_keys(&self) -> Vec<String> {
-        let reg = registry();
-        let mut keys: Vec<String> = self.counts.keys().map(|id| reg.key_string(*id)).collect();
-        keys.sort();
-        keys
+        self.iter().map(|(key, _)| key).collect()
     }
 
     /// Registered rules that have *not* fired, in sorted key order.
     pub fn unfired_keys(&self) -> Vec<String> {
-        all_rule_keys()
-            .into_iter()
-            .filter(|key| !self.fired(key))
-            .collect()
+        let mut keys: Vec<String> = rules()
+            .iter()
+            .enumerate()
+            .filter(|(index, _)| !self.counts.contains_key(index))
+            .map(|(_, rule)| rule.key.clone())
+            .collect();
+        keys.sort();
+        keys
     }
 
     /// The sorted fired-pair keys (`"a->b"` form).
     pub fn fired_pair_keys(&self) -> Vec<String> {
-        let reg = registry();
-        let mut keys: Vec<String> = self
-            .pairs
-            .keys()
-            .map(|(a, b)| pair_key(&reg.key_string(*a), &reg.key_string(*b)))
-            .collect();
+        let mut keys: Vec<String> = self.pairs.keys().copied().map(pair_string).collect();
         keys.sort();
         keys
     }
@@ -354,199 +325,142 @@ impl PassCoverage {
     /// only needs the two rewrites to meet in one program, so steering at it
     /// pays off sooner than chasing a pair gated behind an unfired rule.
     pub fn unfired_pair_keys(&self) -> Vec<String> {
-        let fired: BTreeSet<String> = self.fired_keys().into_iter().collect();
-        let mut frontier = Vec::new();
-        let mut deferred = Vec::new();
-        for key in all_pair_keys() {
-            if self.pair_fired(&key) {
-                continue;
-            }
-            let reachable = key
-                .split_once("->")
-                .map(|(a, b)| fired.contains(a) && fired.contains(b))
-                .unwrap_or(false);
-            if reachable {
-                frontier.push(key);
+        let (mut frontier, mut deferred) = (Vec::new(), Vec::new());
+        for (first, second) in cross_pairs().filter(|pair| !self.pairs.contains_key(pair)) {
+            let reachable = self.counts.contains_key(&first) && self.counts.contains_key(&second);
+            let group = if reachable {
+                &mut frontier
             } else {
-                deferred.push(key);
-            }
+                &mut deferred
+            };
+            group.push(pair_string((first, second)));
         }
+        frontier.sort();
+        deferred.sort();
         frontier.extend(deferred);
         frontier
     }
 }
 
-/// The in-flight sink: firing counters keyed by interned `(pass, rule)`
-/// symbols.  The hot path ([`record`]) therefore increments a
-/// `HashMap<(u32, u32), u64>` entry instead of formatting a `"pass/rule"`
-/// string and walking a `BTreeMap<String, _>` per firing; the string form
-/// ([`PassCoverage`]) is materialised once, when the scope pops.
-///
-/// `segment` and `earlier` implement pair tracking: `segment` holds the
-/// rules fired since the last [`pass_boundary`], `earlier` the rules of all
-/// completed pass runs of the current compile.  At each boundary the sink
-/// crosses the two sets (filtered to registered cross-pass pairs) into
-/// `pairs`, then promotes the segment.  Merging a child sink outward never
-/// touches the parent's segment machinery — pairing is strictly
-/// per-compile.
-#[derive(Debug, Default)]
+/// The installed sink: the coverage collected so far plus the pair state
+/// of the current compile, as `u64` masks over rule indices.  `segment`
+/// holds the rules fired since the last [`pass_boundary`], `earlier` the
+/// rules of the compile's completed pass runs.  At each boundary the sink
+/// counts every (earlier rule, segment rule) cross-pass pair once, then
+/// promotes the segment.
+#[derive(Default)]
 struct Sink {
-    counts: HashMap<RuleId, u64>,
-    pairs: HashMap<(RuleId, RuleId), u64>,
-    segment: HashSet<RuleId>,
-    earlier: HashSet<RuleId>,
+    coverage: PassCoverage,
+    segment: u64,
+    earlier: u64,
 }
 
 impl Sink {
-    fn record(&mut self, pass: &str, rule: &str) {
-        let id = registry().intern(pass, rule);
-        *self.counts.entry(id).or_insert(0) += 1;
-        self.segment.insert(id);
+    fn record(&mut self, rule: usize) {
+        *self.coverage.counts.entry(rule).or_insert(0) += 1;
+        self.segment |= 1 << rule;
     }
 
-    /// Closes the current pass segment: every (earlier rule, segment rule)
-    /// combination that forms a registered cross-pass pair is counted once
-    /// per boundary, then the segment's rules join `earlier`.
     fn flush_segment(&mut self) {
-        if self.segment.is_empty() {
-            return;
-        }
-        let reg = registry();
-        for &second in &self.segment {
-            for &first in &self.earlier {
-                if reg.is_cross_pair(first, second) {
-                    *self.pairs.entry((first, second)).or_insert(0) += 1;
+        let table = rules();
+        for second in mask_bits(self.segment) {
+            for first in mask_bits(self.earlier) {
+                if table[first].rank < table[second].rank {
+                    *self.coverage.pairs.entry((first, second)).or_insert(0) += 1;
                 }
             }
         }
-        self.earlier.extend(self.segment.drain());
+        self.earlier |= self.segment;
+        self.segment = 0;
     }
+}
 
-    fn merge_from(&mut self, other: &Sink) {
-        for (key, count) in &other.counts {
-            *self.counts.entry(*key).or_insert(0) += count;
-        }
-        for (key, count) in &other.pairs {
-            *self.pairs.entry(*key).or_insert(0) += count;
-        }
-    }
-
-    /// Resolves the interned counters into the public form.  Called once
-    /// per scope, not per firing.
-    fn into_coverage(mut self) -> PassCoverage {
-        self.flush_segment();
-        PassCoverage {
-            counts: self.counts.into_iter().collect(),
-            pairs: self.pairs.into_iter().collect(),
-        }
-    }
+/// The rule indices set in `mask`, ascending.
+fn mask_bits(mask: u64) -> impl Iterator<Item = usize> {
+    (0..64).filter(move |bit| mask >> bit & 1 == 1)
 }
 
 thread_local! {
-    /// The active sink stack.  A stack (rather than a single slot) lets the
-    /// driver's per-compile scope nest inside a campaign's [`with_sink`]
-    /// without either clobbering the other: on pop, the inner scope merges
-    /// its counters into the enclosing sink.
-    static SINKS: RefCell<Vec<Sink>> = const { RefCell::new(Vec::new()) };
+    /// This thread's sink, present while a [`with_sink`] closure runs.
+    static SINK: RefCell<Option<Sink>> = const { RefCell::new(None) };
 }
 
-/// Records one rule firing into the innermost active sink, if any.  Called
-/// by the passes at every rewrite point.
+/// Runs `f` on the installed sink, if any.
+fn with_installed(f: impl FnOnce(&mut Sink)) {
+    SINK.with(|slot| {
+        if let Some(sink) = slot.borrow_mut().as_mut() {
+            f(sink);
+        }
+    });
+}
+
+/// Records one rule firing into the installed sink, if any, and into the
+/// flight recorder's per-rule counters when telemetry is on.  Called by the
+/// passes at every rewrite point.
 pub fn record(pass: &str, rule: &str) {
     debug_assert!(
-        ALL_RULES
-            .iter()
-            .any(|(p, rules)| *p == pass && rules.contains(&rule)),
+        rule_index(pass, rule).is_some(),
         "unregistered coverage rule {pass}/{rule}; add it to coverage::ALL_RULES"
     );
-    SINKS.with(|sinks| {
-        if let Some(sink) = sinks.borrow_mut().last_mut() {
-            sink.record(pass, rule);
+    let telemetry = gauntlet_telemetry::enabled();
+    SINK.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        if slot.is_none() && !telemetry {
+            return;
+        }
+        let Some(index) = rule_index(pass, rule) else {
+            return;
+        };
+        if let Some(sink) = slot.as_mut() {
+            sink.record(index);
+        }
+        if telemetry {
+            gauntlet_telemetry::count_rule(&rules()[index].key);
         }
     });
-    // Mirror every firing into the flight recorder's per-rule counters.
-    // Registered rules hit the registry's pre-formatted key table, so even
-    // the telemetry-on path allocates nothing per firing; telemetry-off
-    // stays a single thread-local read.
-    if gauntlet_telemetry::enabled() {
-        let reg = registry();
-        match reg.key_strings.get(&reg.intern(pass, rule)) {
-            Some(key) => gauntlet_telemetry::count_rule(key),
-            None => gauntlet_telemetry::count_rule(&rule_key(pass, rule)),
-        }
-    }
 }
 
-/// Marks a pass boundary in the innermost active sink: rules recorded since
-/// the previous boundary become "earlier" rules, and every registered
-/// cross-pass pair they complete is counted.  The compiler driver calls this
-/// after each pass run; a crashing pass never reaches its boundary, but the
-/// scope's pop flushes the dangling segment so crash compiles still
-/// contribute their pairs.
+/// Marks a pass boundary in the installed sink: rules recorded since the
+/// previous boundary become "earlier" rules, and every registered
+/// cross-pass pair they complete is counted.  The compiler driver calls
+/// this after every pass outcome, including a crash or a rejection.
 pub fn pass_boundary() {
-    SINKS.with(|sinks| {
-        if let Some(sink) = sinks.borrow_mut().last_mut() {
-            sink.flush_segment();
-        }
+    with_installed(Sink::flush_segment);
+}
+
+/// Starts a compile in the installed sink: the rules of any earlier compile
+/// stop being pair partners.
+pub(crate) fn start_compile() {
+    with_installed(|sink| {
+        sink.segment = 0;
+        sink.earlier = 0;
     });
-}
-
-/// A coverage scope: a fresh sink on the stack until the scope ends.  The
-/// compiler driver opens one around each compile's pass pipeline and drops
-/// it; dropping the scope without [`Scope::finish`] (also when a pass panic
-/// unwinds through the driver) still pops the sink and merges it outward,
-/// so enclosing [`with_sink`] callers observe the rules a crashing pass
-/// fired before dying.
-#[derive(Debug)]
-pub(crate) struct Scope {
-    finished: bool,
-}
-
-impl Scope {
-    /// Pushes a fresh sink.
-    pub(crate) fn begin() -> Scope {
-        SINKS.with(|sinks| sinks.borrow_mut().push(Sink::default()));
-        Scope { finished: false }
-    }
-
-    /// Pops the sink, merging its counters into the enclosing sink (if any),
-    /// and returns them.
-    pub(crate) fn finish(mut self) -> PassCoverage {
-        self.finished = true;
-        Scope::pop().into_coverage()
-    }
-
-    fn pop() -> Sink {
-        SINKS.with(|sinks| {
-            let mut sinks = sinks.borrow_mut();
-            let mut sink = sinks.pop().expect("coverage scope underflow");
-            // Close the trailing segment first so a crashing pass's firings
-            // pair with the earlier rules of the same compile before the
-            // counters merge outward.
-            sink.flush_segment();
-            if let Some(parent) = sinks.last_mut() {
-                parent.merge_from(&sink);
-            }
-            sink
-        })
-    }
-}
-
-impl Drop for Scope {
-    fn drop(&mut self) {
-        if !self.finished {
-            Scope::pop();
-        }
-    }
 }
 
 /// Runs `f` with a fresh sink installed and returns its result together with
-/// every rule fired while it ran — including firings from compiles that
-/// ended in a crash (the driver's inner scope merges outward on unwind).
+/// every rule and pair recorded while it ran, including those of compiles
+/// that ended in a crash.  The slot is cleared again when `f` returns or
+/// unwinds.  Sinks do not nest: calling `with_sink` inside `f` panics.
 pub fn with_sink<R>(f: impl FnOnce() -> R) -> (R, PassCoverage) {
-    let scope = Scope::begin();
-    let result = f();
-    (result, scope.finish())
+    SINK.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        assert!(
+            slot.is_none(),
+            "coverage::with_sink does not nest: this thread already has a sink installed"
+        );
+        *slot = Some(Sink::default());
+    });
+    let result = catch_unwind(AssertUnwindSafe(f));
+    let mut sink = SINK
+        .with(|slot| slot.borrow_mut().take())
+        .expect("the sink stays installed while f runs");
+    match result {
+        Ok(result) => {
+            sink.flush_segment();
+            (result, sink.coverage)
+        }
+        Err(panic) => resume_unwind(panic),
+    }
 }
 
 #[cfg(test)]
@@ -558,34 +472,6 @@ mod tests {
         record("ConstantFolding", "fold_arith");
         let (_, coverage) = with_sink(|| ());
         assert!(coverage.is_empty());
-    }
-
-    #[test]
-    fn with_sink_collects_and_nested_scopes_merge_outward() {
-        let ((), outer) = with_sink(|| {
-            record("ConstantFolding", "fold_arith");
-            let scope = Scope::begin();
-            record("Predication", "predicate_then");
-            let inner = scope.finish();
-            assert_eq!(inner.distinct_rules(), 1);
-            assert_eq!(inner.count("Predication/predicate_then"), 1);
-        });
-        assert_eq!(outer.distinct_rules(), 2);
-        assert_eq!(outer.count("ConstantFolding/fold_arith"), 1);
-        assert_eq!(outer.count("Predication/predicate_then"), 1);
-    }
-
-    #[test]
-    fn scope_drop_on_unwind_still_merges_outward() {
-        let (result, coverage) = with_sink(|| {
-            std::panic::catch_unwind(|| {
-                let _scope = Scope::begin();
-                record("FlattenBlocks", "splice_block");
-                panic!("pass bug");
-            })
-        });
-        assert!(result.is_err());
-        assert_eq!(coverage.count("FlattenBlocks/splice_block"), 1);
     }
 
     #[test]
@@ -636,26 +522,23 @@ mod tests {
     #[test]
     fn pass_boundaries_turn_firings_into_ordered_pairs() {
         let ((), coverage) = with_sink(|| {
-            let scope = Scope::begin();
             record("ConstantFolding", "fold_arith");
             record("ConstantFolding", "fold_bool");
             pass_boundary();
             record("Predication", "predicate_then");
             pass_boundary();
-            let inner = scope.finish();
-            assert_eq!(inner.distinct_pairs(), 2);
-            assert_eq!(
-                inner.pair_count("ConstantFolding/fold_arith->Predication/predicate_then"),
-                1
-            );
-            assert_eq!(
-                inner.pair_count("ConstantFolding/fold_bool->Predication/predicate_then"),
-                1
-            );
-            // Same-pass firings never pair.
-            assert!(!inner.pair_fired("ConstantFolding/fold_arith->ConstantFolding/fold_bool"));
         });
-        assert_eq!(coverage.distinct_pairs(), 2, "pairs merge outward");
+        assert_eq!(coverage.distinct_pairs(), 2);
+        assert_eq!(
+            coverage.pair_count("ConstantFolding/fold_arith->Predication/predicate_then"),
+            1
+        );
+        assert_eq!(
+            coverage.pair_count("ConstantFolding/fold_bool->Predication/predicate_then"),
+            1
+        );
+        // Same-pass firings never pair.
+        assert!(!coverage.pair_fired("ConstantFolding/fold_arith->ConstantFolding/fold_bool"));
     }
 
     #[test]
@@ -664,34 +547,26 @@ mod tests {
         // registry orders ConstantFolding first, so no pair is recorded:
         // the pair universe is oriented by registry (pipeline) order.
         let ((), coverage) = with_sink(|| {
-            let scope = Scope::begin();
             record("Predication", "predicate_then");
             pass_boundary();
             record("ConstantFolding", "fold_arith");
             pass_boundary();
-            scope.finish();
         });
         assert_eq!(coverage.distinct_pairs(), 0);
         assert_eq!(coverage.distinct_rules(), 2);
     }
 
     #[test]
-    fn crashing_pass_segment_still_pairs_on_unwind() {
-        let (result, coverage) = with_sink(|| {
-            std::panic::catch_unwind(|| {
-                let _scope = Scope::begin();
-                record("ConstantFolding", "fold_arith");
-                pass_boundary();
+    fn sinks_do_not_nest_and_an_unwind_clears_the_slot() {
+        let nested = std::panic::catch_unwind(|| {
+            with_sink(|| {
                 record("FlattenBlocks", "splice_block");
-                panic!("pass bug after firing");
+                with_sink(|| ())
             })
         });
-        assert!(result.is_err());
-        assert_eq!(
-            coverage.pair_count("ConstantFolding/fold_arith->FlattenBlocks/splice_block"),
-            1,
-            "the dangling segment flushes when the scope unwinds"
-        );
+        assert!(nested.is_err(), "a nested with_sink must panic");
+        let ((), coverage) = with_sink(|| ());
+        assert!(coverage.is_empty(), "the unwind cleared the outer sink");
     }
 
     #[test]

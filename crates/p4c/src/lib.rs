@@ -28,4 +28,4 @@ pub mod passes;
 pub use buggy::{DriverBugClass, FrontEndBugClass};
 pub use coverage::PassCoverage;
 pub use error::{CompileError, Diagnostic};
-pub use pass::{CompileOptions, CompileResult, Compiler, Pass, PassArea, PassSnapshot, Snapshots};
+pub use pass::{CompileResult, Compiler, Pass, PassArea, PassSnapshot, Snapshots};

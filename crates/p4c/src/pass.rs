@@ -119,25 +119,12 @@ pub enum Snapshots {
     Pass(String),
 }
 
-/// Options controlling a compiler run.
-#[derive(Debug, Clone)]
-pub struct CompileOptions {
-    /// Which per-pass snapshots the compile records.
-    pub snapshots: Snapshots,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            snapshots: Snapshots::All,
-        }
-    }
-}
-
 /// A pipeline of passes plus the driver that runs them.
 pub struct Compiler {
     passes: Vec<Box<dyn Pass>>,
-    options: CompileOptions,
+    /// Which per-pass snapshots a compile records ([`Snapshots::All`]
+    /// unless set).
+    snapshots: Snapshots,
     /// Seeded driver defect: corrupts the program after input type checking
     /// but *before* the first snapshot, making it invisible to per-pass
     /// translation validation (see [`crate::buggy::DriverBugClass`]).
@@ -156,7 +143,7 @@ impl Compiler {
     pub fn empty() -> Compiler {
         Compiler {
             passes: Vec::new(),
-            options: CompileOptions::default(),
+            snapshots: Snapshots::All,
             input_corruption: None,
         }
     }
@@ -188,8 +175,10 @@ impl Compiler {
         self
     }
 
-    pub fn options_mut(&mut self) -> &mut CompileOptions {
-        &mut self.options
+    /// Sets which per-pass snapshots later compiles record.
+    pub fn set_snapshots(&mut self, snapshots: Snapshots) -> &mut Self {
+        self.snapshots = snapshots;
+        self
     }
 
     /// Appends a pass to the pipeline.
@@ -225,14 +214,15 @@ impl Compiler {
 
     /// Runs the pipeline on `program`.
     ///
-    /// The compile runs in its own [`crate::coverage`] scope, so rule pairs
-    /// never span two compiles; rules fired by the passes land in any
-    /// enclosing [`crate::coverage::with_sink`], even when a pass crashes,
-    /// because the scope merges outward when it ends.
+    /// Rules fired by the passes land in the thread's
+    /// [`crate::coverage::with_sink`] sink, if one is installed.  The
+    /// compile clears the sink's pair state when it starts, so rule pairs
+    /// never span two compiles, and closes the pass segment after every
+    /// pass outcome, so a crashing or rejecting pass's rules still pair
+    /// with those of the passes before it.
     pub fn compile(&self, program: &Program) -> Result<CompileResult, CompileError> {
-        // Both guards record through an unwinding pass crash.
         let _telemetry = gauntlet_telemetry::Span::begin(gauntlet_telemetry::Stage::Compile);
-        let _coverage = crate::coverage::Scope::begin();
+        crate::coverage::start_compile();
         let errors = p4_check::check_program(program);
         if !errors.is_empty() {
             return Err(CompileError::Rejected {
@@ -248,12 +238,11 @@ impl Compiler {
         let mut snapshots = Vec::new();
         // The last emitted program, against which each pass's output is
         // compared; `Snapshots::None` compares nothing.
-        let mut emitted =
-            (self.options.snapshots != Snapshots::None).then(|| Arc::new(current.clone()));
+        let mut emitted = (self.snapshots != Snapshots::None).then(|| Arc::new(current.clone()));
         // The name, area and index of the snapshot `emitted` has under
         // `Snapshots::All`.
         let mut origin = ("<input>", PassArea::FrontEnd, 0);
-        if let (Snapshots::All, Some(input)) = (&self.options.snapshots, &emitted) {
+        if let (Snapshots::All, Some(input)) = (&self.snapshots, &emitted) {
             snapshots.push(PassSnapshot::new(origin, input.clone()));
         }
 
@@ -263,6 +252,9 @@ impl Compiler {
             IN_PASS.set(true);
             let outcome = catch_unwind(AssertUnwindSafe(|| pass.run(&mut current)));
             IN_PASS.set(false);
+            // The rules this pass run fired become "earlier" rules for pair
+            // tracking, whatever its outcome.
+            crate::coverage::pass_boundary();
             match outcome {
                 Err(panic) => {
                     return Err(CompileError::Crash {
@@ -279,11 +271,6 @@ impl Compiler {
                 }
                 Ok(Ok(())) => {}
             }
-            // Close the coverage segment for this pass run: rules it fired
-            // become "earlier" rules for pair tracking.  A crashing pass
-            // never reaches this; the scope flushes its dangling segment on
-            // unwind instead.
-            crate::coverage::pass_boundary();
             // Emitted programs identical to their predecessor are ignored
             // (paper §5.2).
             let Some(last) = emitted.as_mut() else {
@@ -294,7 +281,7 @@ impl Compiler {
             }
             let before = std::mem::replace(last, Arc::new(current.clone()));
             let after = (pass.name(), pass.area(), index + 1);
-            match &self.options.snapshots {
+            match &self.snapshots {
                 Snapshots::All => snapshots.push(PassSnapshot::new(after, last.clone())),
                 Snapshots::Pass(name) if name == pass.name() => {
                     // Two runs in a row share their middle snapshot.
@@ -428,7 +415,7 @@ mod tests {
     fn pass_snapshots_match_that_pass_pairs_of_a_full_compile() {
         use p4_gen::{GeneratorConfig, RandomProgramGenerator};
         let compile = |compiler: &mut Compiler, snapshots: Snapshots, program: &Program| {
-            compiler.options_mut().snapshots = snapshots;
+            compiler.set_snapshots(snapshots);
             let result = compiler.compile(program);
             if let Ok(result) = &result {
                 for snapshot in &result.snapshots {
@@ -508,7 +495,7 @@ mod tests {
         }
         for snapshots in [Snapshots::All, Snapshots::None] {
             let mut compiler = Compiler::empty();
-            compiler.options_mut().snapshots = snapshots;
+            compiler.set_snapshots(snapshots);
             compiler.add_pass(Box::new(RenameControlPass));
             compiler.add_pass(Box::new(EditThen("Rejecting", || {
                 Err(Diagnostic::new("unsupported construct"))
@@ -636,7 +623,7 @@ mod tests {
         }
     }
 
-    /// Each compile tracks pairs in its own scope: a rule one compile fired
+    /// Each compile starts its own pair tracking: a rule one compile fired
     /// never pairs with a rule the next compile in the same sink fires.
     #[test]
     fn pairs_never_span_two_compiles() {
@@ -669,8 +656,7 @@ mod tests {
     }
 
     /// Rules fired before a pass crashes are still observable through an
-    /// enclosing `coverage::with_sink` (the driver's scope merges outward on
-    /// unwind).
+    /// enclosing `coverage::with_sink`.
     #[test]
     fn crash_coverage_merges_into_the_enclosing_sink() {
         use p4_ir::{BinOp, Expr};
@@ -686,6 +672,97 @@ mod tests {
         let (result, coverage) = crate::coverage::with_sink(|| compiler.compile(&program));
         assert!(matches!(result, Err(CompileError::Crash { .. })));
         assert!(coverage.count("ConstantFolding/fold_arith") >= 1);
+    }
+
+    /// A test pass that records the given registered rules, then panics if
+    /// `crash` is set.
+    struct Firing {
+        name: &'static str,
+        rules: &'static [(&'static str, &'static str)],
+        crash: bool,
+    }
+    impl Pass for Firing {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn run(&self, _program: &mut Program) -> Result<(), Diagnostic> {
+            for (pass, rule) in self.rules {
+                crate::coverage::record(pass, rule);
+            }
+            assert!(!self.crash, "pass bug after firing");
+            Ok(())
+        }
+    }
+
+    /// Compiles the trivial program through `passes` inside a sink.
+    fn compile_in_sink(
+        passes: Vec<Firing>,
+    ) -> (
+        Result<CompileResult, CompileError>,
+        crate::coverage::PassCoverage,
+    ) {
+        let mut compiler = Compiler::empty();
+        for pass in passes {
+            compiler.add_pass(Box::new(pass));
+        }
+        crate::coverage::with_sink(|| compiler.compile(&builder::trivial_program()))
+    }
+
+    /// The sink collects every rule the passes of a compile fire, once per
+    /// firing.
+    #[test]
+    fn with_sink_collects_every_rule_a_compile_fires() {
+        let (result, coverage) = compile_in_sink(vec![
+            Firing {
+                name: "Folding",
+                rules: &[("ConstantFolding", "fold_arith")],
+                crash: false,
+            },
+            Firing {
+                name: "Predicating",
+                rules: &[("Predication", "predicate_then")],
+                crash: false,
+            },
+        ]);
+        result.unwrap();
+        assert_eq!(coverage.distinct_rules(), 2);
+        assert_eq!(coverage.count("ConstantFolding/fold_arith"), 1);
+        assert_eq!(coverage.count("Predication/predicate_then"), 1);
+    }
+
+    /// A pass that fires a rule and then crashes still reports the rule.
+    #[test]
+    fn a_crashing_pass_still_reports_its_rules() {
+        let (result, coverage) = compile_in_sink(vec![Firing {
+            name: "Crashing",
+            rules: &[("FlattenBlocks", "splice_block")],
+            crash: true,
+        }]);
+        assert!(matches!(result, Err(CompileError::Crash { .. })));
+        assert_eq!(coverage.count("FlattenBlocks/splice_block"), 1);
+    }
+
+    /// A crashing pass's rules still pair with the rules of the passes
+    /// that ran before it.
+    #[test]
+    fn a_crashing_pass_segment_still_pairs() {
+        let (result, coverage) = compile_in_sink(vec![
+            Firing {
+                name: "Folding",
+                rules: &[("ConstantFolding", "fold_arith")],
+                crash: false,
+            },
+            Firing {
+                name: "Crashing",
+                rules: &[("FlattenBlocks", "splice_block")],
+                crash: true,
+            },
+        ]);
+        assert!(matches!(result, Err(CompileError::Crash { .. })));
+        assert_eq!(
+            coverage.pair_count("ConstantFolding/fold_arith->FlattenBlocks/splice_block"),
+            1
+        );
     }
 
     /// The seeded driver corruption runs before snapshot 0: the write is

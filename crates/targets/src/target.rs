@@ -75,7 +75,7 @@ impl From<p4c::CompileError> for TargetError {
 /// program, so the pipeline takes no per-pass snapshots.
 pub(crate) fn compile_front_mid_end(program: &Program) -> Result<Program, TargetError> {
     let mut compiler = p4c::Compiler::reference();
-    compiler.options_mut().snapshots = p4c::Snapshots::None;
+    compiler.set_snapshots(p4c::Snapshots::None);
     Ok(compiler.compile(program)?.program)
 }
 
